@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charseries import ModuleDatumE, f1_k_character
-from .cohomology import KCharacter
 from .errors import (
     InternalInconsistency,
     InvalidInput,
@@ -37,12 +36,12 @@ from .rootsys import (
     WeylElement,
     bruhat_leq_over,
     coroot_pairing,
-    evaluate,
     generate_group,
+    inner_product,
     project_trace_zero,
     weyl_group,
 )
-from .sl2embed import is_regular
+from .sl2embed import KCharacter, is_regular
 
 
 @dataclass(frozen=True)
@@ -82,18 +81,6 @@ def central_character_from_kappa(kappa: Weight, rs: RootSystem) -> CentralCharac
     )
 
 
-def central_character(
-    nu: Weight, rs: RootSystem, rho_tilde: Weight | None = None
-) -> CentralCharacter:
-    """Central character attached to the highest-weight parameter nu.
-
-    The shift defaults to the half-sum for the standard positive system;
-    pass the adapted half-sum when nu comes from a parabolic context.
-    """
-    shift = rs.rho_tilde if rho_tilde is None else rho_tilde
-    return central_character_from_kappa(nu + shift, rs)
-
-
 @dataclass(frozen=True)
 class BlockElement:
     """One series parameter in a block."""
@@ -102,7 +89,6 @@ class BlockElement:
     nu: Weight
     omega: Fraction
     mu: Fraction
-    m_dominant: bool
     dim_e: int
     merged_count: int
 
@@ -142,7 +128,7 @@ def enumerate_block(
     elements = []
     for key, (w, count) in seen.items():
         nu = Weight(key)
-        omega = evaluate(nu, p.embedding.h_vector)
+        omega = inner_product(nu, p.embedding.h_vector)
         mu = omega + shift
         if gamma is not None:
             pairing = coroot_pairing(nu, gamma)
@@ -157,7 +143,6 @@ def enumerate_block(
                 nu=nu,
                 omega=omega,
                 mu=mu,
-                m_dominant=True,
                 dim_e=dim_e,
                 merged_count=count,
             )
@@ -423,7 +408,6 @@ class ReconstructibilityReport:
 
     mu: int
     convention: str
-    lower_degrees_vanish: bool
     socle_simple: bool
     strong: bool
     generic: bool
@@ -443,7 +427,6 @@ def reconstructibility_report(
     return ReconstructibilityReport(
         mu=mu,
         convention=convention,
-        lower_degrees_vanish=True,
         socle_simple=Fraction(mu) >= thresholds.socle_simplicity(convention).exact,
         strong=Fraction(mu) >= thresholds.strong(convention).exact,
         generic=genericity_check(p, mu).generic,

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency, InvalidInput, OutOfRegime, WindowTooNarrow
-from .cohomology import KCharacter, TruncatedTCharacter
 from .parabolic import CompatibleParabolic
 from .rootsys import Weight
+from .sl2embed import KCharacter, TruncatedTCharacter
 
 
 @dataclass(frozen=True)
@@ -32,39 +32,27 @@ class ModuleDatumE:
             raise InvalidInput("dim E must be a positive integer")
 
 
-class PartitionTable:
-    """Colored vector partition counts over a fixed positive multiset.
+def _partition_counts(weights, limit: int) -> list[int]:
+    """Colored vector partition counts of 0, 1, ..., limit, built in one pass.
 
-    value(x) counts multisets drawn from the weights, each entry of the
-    defining multiset its own unbounded color, summing to x.
+    Entry x counts multisets drawn from the weights, each entry of the
+    defining multiset its own unbounded color, summing to x.  A negative
+    limit gives the empty list.
     """
-
-    def __init__(self, weights):
-        ws = tuple(sorted(int(w) for w in weights))
-        if any(w <= 0 for w in ws):
-            raise InvalidInput("partition weights must be positive")
-        self.weights = ws
-        self._values = [1]
-
-    def value(self, x: int) -> int:
-        if x < 0:
-            return 0
-        if x >= len(self._values):
-            self._extend(x)
-        return self._values[x]
-
-    def _extend(self, x: int) -> None:
-        values = [0] * (x + 1)
-        values[0] = 1
-        for w in self.weights:
-            for y in range(w, x + 1):
-                values[y] += values[y - w]
-        self._values = values
+    ws = [int(w) for w in weights]
+    if any(w <= 0 for w in ws):
+        raise InvalidInput("partition weights must be positive")
+    counts = [1] + [0] * limit if limit >= 0 else []
+    for w in ws:
+        for y in range(w, limit + 1):
+            counts[y] += counts[y - w]
+    return counts
 
 
 def partition_function(weights, x: int) -> int:
     """Colored partition count of x over the given positive multiset."""
-    return PartitionTable(weights).value(x)
+    counts = _partition_counts(weights, x)
+    return counts[-1] if counts else 0
 
 
 def _minimal_k_type(p: CompatibleParabolic, E: ModuleDatumE) -> int:
@@ -80,10 +68,8 @@ def t_character_N(
     multiplicity at x is dim E times the partition count of x - mu - 2.
     """
     mu = _minimal_k_type(p, E)
-    table = PartitionTable(p.n_weights)
-    mults = {
-        x: E.dim_e * table.value(x - mu - 2) for x in range(mu + 2, cutoff + 1)
-    }
+    counts = _partition_counts(p.n_weights, cutoff - mu - 2)
+    mults = {mu + 2 + i: E.dim_e * c for i, c in enumerate(counts)}
     return TruncatedTCharacter(mults, window=(None, cutoff))
 
 
@@ -130,12 +116,12 @@ def f1_k_character(
         raise OutOfRegime(
             f"mu = {mu} < 0: lower and upper degrees need not vanish there"
         )
-    table = PartitionTable(p.n_weights)
+    counts = _partition_counts(p.n_weights, cutoff - mu)
     mults: dict[int, int] = {}
-    for delta in range(0, cutoff + 1):
-        c = E.dim_e * (table.value(delta - mu) - table.value(delta - mu - 2))
+    for i, count in enumerate(counts):
+        c = E.dim_e * (count - (counts[i - 2] if i >= 2 else 0))
         if c < 0:
             raise InternalInconsistency("negative multiplicity in a genuine character")
         if c:
-            mults[delta] = c
+            mults[mu + i] = c
     return KCharacter(mults, cutoff=cutoff, virtual=False)

@@ -21,7 +21,7 @@ from .blocks import (
 )
 from .charseries import ModuleDatumE, euler_k_character, f1_k_character, t_character_N
 from .errors import GhcseriesError, InvalidInput, OutOfRegime
-from .fixtures import FixturePair, get_fixture
+from .fixtures import get_fixture
 from .parabolic import bounds_report, invariants, minimal_parabolic, mu_omega
 from .report import character_pairs, rational, render_json, render_table, weight_coords
 from .rootsys import Weight, build_root_system, weyl_group
@@ -386,9 +386,24 @@ _DISPATCH = {
 }
 
 
+def _attach_values(argv) -> list[str]:
+    """Rewrite "--kappa VALUE" and "--c VALUE" as "--kappa=VALUE" and "--c=VALUE".
+
+    argparse reads a value such as -1/2,3/2 as an option of its own; the
+    attached spelling keeps negative rationals working.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in ("--kappa", "--c") and not token.startswith("--"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
         doc = _DISPATCH[args.command](args)
         text = render_json(doc) if args.format == "json" else render_table(doc)

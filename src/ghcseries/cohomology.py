@@ -12,122 +12,9 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
-from .errors import (
-    IndexOutOfRange,
-    InvalidInput,
-    VirtualNotAllowed,
-    WindowTooNarrow,
-)
+from .errors import IndexOutOfRange, InvalidInput, VirtualNotAllowed
 from .parabolic import CompatibleParabolic, invariants
-
-
-class KCharacter:
-    """Map delta -> multiplicity of the k-type V(delta).
-
-    cutoff None means the character is finite and completely known;
-    otherwise entries are trusted exactly for delta <= cutoff and
-    lookups beyond raise WindowTooNarrow.  Negative multiplicities
-    require virtual=True.
-    """
-
-    def __init__(self, mults, cutoff: int | None = None, virtual: bool = False):
-        clean: dict[int, int] = {}
-        for delta, c in mults.items():
-            delta, c = int(delta), int(c)
-            if delta < 0:
-                raise InvalidInput("k-types are labeled by nonnegative integers")
-            if c == 0:
-                continue
-            if c < 0 and not virtual:
-                raise InvalidInput("negative multiplicity in a non-virtual character")
-            if cutoff is not None and delta > cutoff:
-                raise InvalidInput(f"entry at {delta} beyond cutoff {cutoff}")
-            clean[delta] = c
-        self.mults = clean
-        self.cutoff = cutoff
-        self.virtual = bool(virtual)
-
-    def mult(self, delta: int) -> int:
-        if delta < 0:
-            raise InvalidInput("k-types are labeled by nonnegative integers")
-        if self.cutoff is not None and delta > self.cutoff:
-            raise WindowTooNarrow(
-                f"multiplicity at {delta} is beyond the trusted cutoff {self.cutoff}"
-            )
-        return self.mults.get(delta, 0)
-
-    def items(self) -> list[tuple[int, int]]:
-        return sorted(self.mults.items())
-
-    def support_min(self) -> int | None:
-        return min(self.mults) if self.mults else None
-
-    def is_multiplicity_free(self) -> bool:
-        return all(c == 1 for c in self.mults.values())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, KCharacter)
-            and self.mults == other.mults
-            and self.cutoff == other.cutoff
-            and self.virtual == other.virtual
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"KCharacter({dict(self.items())}, cutoff={self.cutoff}, "
-            f"virtual={self.virtual})"
-        )
-
-
-class TruncatedTCharacter:
-    """Map integer t-weight -> multiplicity, trusted on a window (lo, hi).
-
-    A None endpoint means the character is exactly known arbitrarily far
-    on that side; lookups outside the trusted window raise
-    WindowTooNarrow so truncation can never masquerade as vanishing.
-    """
-
-    def __init__(self, mults, window=(None, None), virtual: bool = False):
-        lo, hi = window
-        clean: dict[int, int] = {}
-        for w, c in mults.items():
-            w, c = int(w), int(c)
-            if c == 0:
-                continue
-            if c < 0 and not virtual:
-                raise InvalidInput("negative multiplicity in a non-virtual character")
-            if (lo is not None and w < lo) or (hi is not None and w > hi):
-                raise InvalidInput(f"entry at {w} outside the trusted window {window}")
-            clean[w] = c
-        self.mults = clean
-        self.window = (lo, hi)
-        self.virtual = bool(virtual)
-
-    def mult(self, x: int) -> int:
-        lo, hi = self.window
-        if lo is not None and x < lo:
-            raise WindowTooNarrow(f"weight {x} below the trusted window {self.window}")
-        if hi is not None and x > hi:
-            raise WindowTooNarrow(f"weight {x} above the trusted window {self.window}")
-        return self.mults.get(x, 0)
-
-    def items(self) -> list[tuple[int, int]]:
-        return sorted(self.mults.items())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedTCharacter)
-            and self.mults == other.mults
-            and self.window == other.window
-            and self.virtual == other.virtual
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"TruncatedTCharacter({dict(self.items())}, window={self.window}, "
-            f"virtual={self.virtual})"
-        )
+from .sl2embed import KCharacter, TruncatedTCharacter
 
 
 def nk_cohomology(M: KCharacter) -> tuple[TruncatedTCharacter, TruncatedTCharacter]:

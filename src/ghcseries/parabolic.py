@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import InternalInconsistency, InvalidInput
 from .linalg import solve_unique
-from .rootsys import Weight, inner_product, lex_positive
+from .rootsys import Weight, _half_sum, inner_product, lex_positive
 from .sl2embed import Sl2Embedding
 
 
@@ -85,13 +85,6 @@ def minimal_parabolic(e: Sl2Embedding) -> CompatibleParabolic:
         rho_tilde_n=rho_tilde_n,
         rho_tilde_adapted=rho_tilde_adapted,
     )
-
-
-def _half_sum(weights: Sequence[Weight], ambient: int) -> Weight:
-    total = Weight(tuple(Fraction(0) for _ in range(ambient)))
-    for w in weights:
-        total = total + w
-    return total.scaled(Fraction(1, 2))
 
 
 @dataclass(frozen=True)

@@ -77,11 +77,6 @@ def inner_product(a: Weight, b: Weight) -> Fraction:
     return sum((x * y for x, y in zip(a.coords, b.coords)), Fraction(0))
 
 
-def evaluate(alpha: Weight, h_vector: Weight) -> Fraction:
-    """Value alpha(h) for h given by its epsilon-coordinates."""
-    return inner_product(alpha, h_vector)
-
-
 def coroot_pairing(lam: Weight, alpha: Weight) -> Fraction:
     """<lam, alpha^vee> = 2<lam, alpha>/<alpha, alpha>."""
     norm = inner_product(alpha, alpha)

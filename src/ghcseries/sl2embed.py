@@ -4,6 +4,8 @@ An embedding k = span{e, h, f} in g is recorded through the evaluation
 functional alpha -> alpha(h) on roots, represented by the epsilon-basis
 coordinate vector of h.  The induced integer grading of g and its
 decomposition into irreducible sl(2)-summands are derived from it.
+The character map types of the library (t-characters, and k-characters
+as their subclass) live here too, below every module that builds them.
 """
 
 from __future__ import annotations
@@ -18,15 +20,11 @@ from .errors import (
     NonIntegralGrading,
     NotARoot,
     NotIntegrable,
+    WindowTooNarrow,
 )
 from .linalg import solve_unique
-from .rootsys import (
-    RootSystem,
-    TRACE_ZERO_FAMILIES,
-    Weight,
-    coroot_pairing,
-    evaluate,
-)
+from .report import rational
+from .rootsys import RootSystem, TRACE_ZERO_FAMILIES, Weight, inner_product
 
 
 @dataclass(frozen=True)
@@ -37,37 +35,97 @@ class Sl2Embedding:
     beta: Weight | None = None
 
     def root_value(self, alpha: Weight) -> int:
-        v = evaluate(alpha, self.h_vector)
+        v = inner_product(alpha, self.h_vector)
         if v.denominator != 1:
             raise InternalInconsistency("root evaluation became non-integral")
         return int(v)
 
 
-class FiniteTCharacter:
-    """Finite map from integer t-weights to nonnegative multiplicities."""
+class TruncatedTCharacter:
+    """Map integer label -> multiplicity, trusted on a window (lo, hi).
 
-    def __init__(self, mults: dict[int, int]):
-        self.mults = {int(w): int(c) for w, c in mults.items() if c != 0}
-        if any(c < 0 for c in self.mults.values()):
-            raise InvalidInput("finite t-characters have nonnegative multiplicities")
+    The labels are t-weights here and k-types in KCharacter.  A None
+    endpoint means the character is exactly known arbitrarily far on
+    that side; lookups outside the trusted window raise WindowTooNarrow
+    so truncation can never masquerade as vanishing.
+    """
+
+    def __init__(self, mults, window=(None, None), virtual: bool = False):
+        lo, hi = window
+        clean: dict[int, int] = {}
+        for w, c in mults.items():
+            w, c = int(w), int(c)
+            if c == 0:
+                continue
+            if c < 0 and not virtual:
+                raise InvalidInput("negative multiplicity in a non-virtual character")
+            if (lo is not None and w < lo) or (hi is not None and w > hi):
+                raise InvalidInput(f"entry at {w} outside the trusted window {window}")
+            clean[w] = c
+        self.mults = clean
+        self.window = (lo, hi)
+        self.virtual = bool(virtual)
 
     def mult(self, x: int) -> int:
+        lo, hi = self.window
+        if lo is not None and x < lo:
+            raise WindowTooNarrow(f"weight {x} below the trusted window {self.window}")
+        if hi is not None and x > hi:
+            raise WindowTooNarrow(f"weight {x} above the trusted window {self.window}")
         return self.mults.get(x, 0)
 
+    def items(self) -> list[tuple[int, int]]:
+        return sorted(self.mults.items())
+
     def total(self) -> int:
+        if self.window != (None, None):
+            raise WindowTooNarrow(f"the total needs the whole character, not {self.window}")
         return sum(self.mults.values())
 
     def is_symmetric(self) -> bool:
         return all(self.mult(-w) == c for w, c in self.mults.items())
 
-    def items(self):
-        return sorted(self.mults.items())
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteTCharacter) and self.mults == other.mults
+        return (
+            type(self) is type(other)
+            and self.mults == other.mults
+            and self.window == other.window
+            and self.virtual == other.virtual
+        )
 
     def __repr__(self) -> str:
-        return f"FiniteTCharacter({dict(self.items())})"
+        return (
+            f"{type(self).__name__}({dict(self.items())}, window={self.window}, "
+            f"virtual={self.virtual})"
+        )
+
+
+class KCharacter(TruncatedTCharacter):
+    """Map delta -> multiplicity of the k-type V(delta), trusted through cutoff.
+
+    cutoff None means the character is finite and completely known.
+    Negative multiplicities require virtual=True.
+    """
+
+    def __init__(self, mults, cutoff: int | None = None, virtual: bool = False):
+        if any(int(delta) < 0 for delta in mults):
+            raise InvalidInput("k-types are labeled by nonnegative integers")
+        super().__init__(mults, window=(None, cutoff), virtual=virtual)
+
+    @property
+    def cutoff(self) -> int | None:
+        return self.window[1]
+
+    def mult(self, delta: int) -> int:
+        if delta < 0:
+            raise InvalidInput("k-types are labeled by nonnegative integers")
+        return super().mult(delta)
+
+    def support_min(self) -> int | None:
+        return min(self.mults) if self.mults else None
+
+    def is_multiplicity_free(self) -> bool:
+        return all(c == 1 for c in self.mults.values())
 
 
 @dataclass(frozen=True)
@@ -102,10 +160,10 @@ def _validated(
 ) -> Sl2Embedding:
     values = []
     for alpha in rs.roots:
-        v = evaluate(alpha, h_vec)
+        v = inner_product(alpha, h_vec)
         if v.denominator != 1:
             raise NonIntegralGrading(
-                f"root {tuple(alpha.coords)} evaluates to non-integer {v}"
+                f"root {_point(alpha)} evaluates to non-integer {v}"
             )
         values.append(int(v))
     e = Sl2Embedding(rs=rs, h_vector=h_vec, kind=kind, beta=beta)
@@ -139,28 +197,29 @@ def from_root(rs: RootSystem, beta) -> Sl2Embedding:
     """Embedding generated by the root spaces of +-beta; h is the coroot."""
     beta_w = beta if isinstance(beta, Weight) else Weight.of(*beta)
     if not rs.is_root(beta_w):
-        raise NotARoot(f"{tuple(beta_w.coords)} is not a root")
-    h_vec = beta_w.scaled(Fraction(2) / _norm(beta_w))
+        raise NotARoot(f"{_point(beta_w)} is not a root")
+    h_vec = beta_w.scaled(Fraction(2) / inner_product(beta_w, beta_w))
     emb = _validated(rs, h_vec, kind="root", beta=beta_w)
     if emb.root_value(beta_w) != 2:
         raise InternalInconsistency("coroot normalization failed")
     return emb
 
 
-def _norm(w: Weight) -> Fraction:
-    return sum((c * c for c in w.coords), Fraction(0))
+def _point(w: Weight) -> str:
+    """Exact coordinates for messages: (1, -1/2), not Fraction reprs."""
+    return "(" + ", ".join(str(rational(c)) for c in w.coords) + ")"
 
 
-def t_character_of_g(e: Sl2Embedding) -> FiniteTCharacter:
+def t_character_of_g(e: Sl2Embedding) -> TruncatedTCharacter:
     """Each root contributes at alpha(h); the Cartan contributes rank at 0."""
     mults: dict[int, int] = {0: e.rs.rank}
     for alpha in e.rs.roots:
         v = e.root_value(alpha)
         mults[v] = mults.get(v, 0) + 1
-    return FiniteTCharacter(mults)
+    return TruncatedTCharacter(mults)
 
 
-def sl2_decomposition(ch: FiniteTCharacter) -> Sl2Decomposition:
+def sl2_decomposition(ch: TruncatedTCharacter) -> Sl2Decomposition:
     """Weight-string peeling: counts(m) = ch(m) - ch(m+2), all >= 0."""
     if not ch.is_symmetric():
         raise InvalidInput("t-character must be symmetric to peel")
@@ -180,13 +239,13 @@ def sl2_decomposition(ch: FiniteTCharacter) -> Sl2Decomposition:
     return dec
 
 
-def expand_decomposition(dec: Sl2Decomposition) -> FiniteTCharacter:
+def expand_decomposition(dec: Sl2Decomposition) -> TruncatedTCharacter:
     """Inverse of peeling; used as a round-trip check."""
     mults: dict[int, int] = {}
     for m, c in dec.counts:
         for w in range(-m, m + 1, 2):
             mults[w] = mults.get(w, 0) + c
-    return FiniteTCharacter(mults)
+    return TruncatedTCharacter(mults)
 
 
 def is_regular(e: Sl2Embedding) -> bool:

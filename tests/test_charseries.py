@@ -11,7 +11,6 @@ from ghcseries import (
     KCharacter,
     ModuleDatumE,
     OutOfRegime,
-    PartitionTable,
     TruncatedTCharacter,
     WindowTooNarrow,
     euler_k_character,
@@ -21,22 +20,26 @@ from ghcseries import (
     partition_function,
     t_character_N,
 )
+from ghcseries.charseries import _partition_counts
 from oracles import brute_vector_partitions, koszul_euler_coefficient
 
 
 def test_partition_table_frozen_values():
-    table = PartitionTable((2, 2, 4, 6))
+    counts = _partition_counts((2, 2, 4, 6), 21)
     expected = [1, 2, 4, 7, 11, 16, 23, 31, 41, 53, 67]
-    assert [table.value(2 * i) for i in range(11)] == expected
-    assert all(table.value(2 * i + 1) == 0 for i in range(11))
-    assert table.value(-4) == 0
+    assert counts[0::2] == expected
+    assert counts[1::2] == [0] * 11
+    assert _partition_counts((2, 2, 4, 6), -4) == []
+    assert partition_function((2, 2, 4, 6), -4) == 0
 
 
 def test_partition_table_rejects_nonpositive_weights():
     with pytest.raises(InvalidInput):
-        PartitionTable((2, 0))
+        _partition_counts((2, 0), 5)
     with pytest.raises(InvalidInput):
-        PartitionTable((2, -1))
+        _partition_counts((2, -1), -1)
+    with pytest.raises(InvalidInput):
+        partition_function((2, -1), 3)
 
 
 @given(
@@ -49,11 +52,10 @@ def test_partition_function_matches_enumeration(weights, x):
 
 
 def test_partition_table_is_lazy_but_consistent():
-    table = PartitionTable((1, 2))
-    low = [table.value(i) for i in range(5)]
-    high = table.value(40)
-    assert [table.value(i) for i in range(5)] == low
-    assert high == 21
+    low = _partition_counts((1, 2), 4)
+    high = _partition_counts((1, 2), 40)
+    assert high[:5] == low == [1, 1, 2, 2, 3]
+    assert high[40] == partition_function((1, 2), 40) == 21
 
 
 def test_module_datum_validation():
@@ -80,6 +82,28 @@ def test_series_t_character_is_shifted_partition_count(pair):
     n_char = t_character_N(p, ModuleDatumE(omega=omega, dim_e=3), 20)
     for x in range(0, 21):
         assert n_char.mult(x) == 3 * partition_function(p.n_weights, x - 6)
+
+
+def test_series_characters_match_brute_partitions(pair):
+    """Cutoffs mu-1 .. mu+3 give empty and one-entry tables; 10, 20, 40 a ladder."""
+    _, p = pair
+    brute = {x: brute_vector_partitions(p.n_weights, x) for x in range(-2, 41)}
+    for mu in (0, 3):
+        datum = ModuleDatumE(omega=mu_omega(p, mu, "mu_to_omega"), dim_e=2)
+        for cutoff in (mu - 1, mu, mu + 1, mu + 2, mu + 3, 10, 20, 40):
+            n_char = t_character_N(p, datum, cutoff)
+            expected_n = {
+                x: 2 * brute.get(x - mu - 2, 0) for x in range(mu + 2, cutoff + 1)
+            }
+            assert n_char.mults == {x: c for x, c in expected_n.items() if c}
+            assert n_char.window == (None, cutoff)
+            f1 = f1_k_character(p, datum, cutoff)
+            expected_f1 = {
+                d: 2 * (brute.get(d - mu, 0) - brute.get(d - mu - 2, 0))
+                for d in range(0, cutoff + 1)
+            }
+            assert f1.mults == {d: c for d, c in expected_f1.items() if c}
+            assert f1.cutoff == cutoff
 
 
 def test_euler_window_requirements():

@@ -92,6 +92,8 @@ EXIT_CASES = [
     (["socle", "--fixture", "sp4-principal", "--kappa", "3/2,1/2", "--mu", "5"], 2),
     (["iwasawa", "--a", "-1"], 2),
     (["character", "--fixture", "sp4-principal", "--mu", "2", "--cutoff", "-4"], 2),
+    (["analyze", "--algebra", "C2", "--embedding", "root:1,2"], 2),
+    (["analyze", "--algebra", "C2", "--embedding", "vector:1/2,0"], 2),
 ]
 
 
@@ -100,6 +102,17 @@ def test_error_exit_codes(args, code, capsys):
     assert main(args) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert "Fraction(" not in err
+
+
+def test_negative_values_may_follow_their_option(capsys):
+    block = ["block", "--fixture", "sp4-principal"]
+    assert main(block + ["--kappa=-1/2,3/2"]) == 0
+    attached = capsys.readouterr().out
+    assert main(block + ["--kappa", "-1/2,3/2"]) == 0
+    assert capsys.readouterr().out == attached
+    assert main(["iwasawa", "--a", "2", "--c", "-1/3"]) == 0
+    assert json.loads(capsys.readouterr().out)["c"] == "-1/3"
 
 
 def test_argparse_rejects_unknown_commands():

@@ -12,11 +12,11 @@ from ghcseries import (
     b_dominant,
     bounds_report,
     build_root_system,
-    evaluate,
     from_principal,
     genericity_check,
     genericity_scan,
     get_fixture,
+    inner_product,
     invariants,
     minimal_parabolic,
     mu_omega,
@@ -96,9 +96,9 @@ def test_adapted_half_sum_sp4_short():
 def test_adapted_positive_roots_have_positive_grading_or_lie_in_m(pair):
     emb, p = pair
     for root in p.n_roots:
-        assert evaluate(root, emb.h_vector) > 0
+        assert inner_product(root, emb.h_vector) > 0
     for root in p.m_roots:
-        assert evaluate(root, emb.h_vector) == 0
+        assert inner_product(root, emb.h_vector) == 0
 
 
 def test_genericity_scan_hand_cases():
