@@ -34,9 +34,9 @@ from .rootsys import (
     RootSystem,
     Weight,
     WeylElement,
+    _memo_group,
     bruhat_leq_over,
     coroot_pairing,
-    generate_group,
     inner_product,
     project_trace_zero,
     weyl_group,
@@ -61,10 +61,7 @@ def central_character_from_kappa(kappa: Weight, rs: RootSystem) -> CentralCharac
     The trace-ambiguous block coordinates are projected to mean zero
     first, so parameters that agree against every root are identified.
     """
-    if len(kappa.coords) != rs.ambient:
-        raise InvalidInput(
-            f"kappa has length {len(kappa.coords)}, ambient is {rs.ambient}"
-        )
+    _check_kappa_length(kappa, rs)
     base = project_trace_zero(kappa, rs)
     group = weyl_group(rs)
     orbit = {w.apply(base).coords for w in group}
@@ -79,6 +76,13 @@ def central_character_from_kappa(kappa: Weight, rs: RootSystem) -> CentralCharac
         integral=integral,
         orbit_size=len(orbit),
     )
+
+
+def _check_kappa_length(kappa: Weight, rs: RootSystem) -> None:
+    if len(kappa.coords) != rs.ambient:
+        raise InvalidInput(
+            f"kappa has length {len(kappa.coords)}, ambient is {rs.ambient}"
+        )
 
 
 @dataclass(frozen=True)
@@ -176,7 +180,8 @@ def integral_weyl_subgroup(
 
     The positive system is inherited from the given one (default: the
     standard lexicographic system); element lengths are inversion counts
-    against it.
+    against it.  The elements are built once per process for each integral
+    positive system and shared, like weyl_group's.
     """
     base = rs.positive_roots if positive_roots is None else tuple(positive_roots)
     integral = tuple(
@@ -190,7 +195,7 @@ def integral_weyl_subgroup(
         raise InternalInconsistency(
             "positive system does not split the integral roots in half"
         )
-    elements = generate_group(positives, positives, rs.ambient)
+    elements = _memo_group(positives, positives, rs.ambient)
     return IntegralWeylGroup(
         roots=integral, positive_roots=positives, elements=elements
     )
@@ -235,6 +240,14 @@ def _antidominant_point(orbit, group: IntegralWeylGroup) -> Weight:
     return found[0]
 
 
+def _check_matrix_regime(p: CompatibleParabolic) -> None:
+    """The pair-only preconditions of multiplicity_matrix; builds no group."""
+    if p.m_roots:
+        raise UnsupportedLevi("multiplicities are computed for a Cartan Levi only")
+    if p.embedding.rs.rank > 2:
+        raise UnsupportedRank("multiplicities are computed for rank <= 2 only")
+
+
 def multiplicity_matrix(
     kappa: CentralCharacter, p: CompatibleParabolic
 ) -> MultiplicityMatrix:
@@ -247,13 +260,10 @@ def multiplicity_matrix(
     off-diagonal support sits strictly above the diagonal in mu; both
     are re-validated on every call.
     """
-    rs = p.embedding.rs
-    if p.m_roots:
-        raise UnsupportedLevi("multiplicities are computed for a Cartan Levi only")
+    _check_matrix_regime(p)
     if not kappa.regular:
         raise SingularBlockUnsupported("a regular central character is required")
-    if rs.rank > 2:
-        raise UnsupportedRank("multiplicities are computed for rank <= 2 only")
+    rs = p.embedding.rs
 
     elements = enumerate_block(kappa, p)
     keys = [-(e.nu + p.rho_tilde_adapted) for e in elements]

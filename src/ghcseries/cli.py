@@ -14,6 +14,8 @@ import sys
 from fractions import Fraction
 
 from .blocks import (
+    _check_kappa_length,
+    _check_matrix_regime,
     central_character_from_kappa,
     iwasawa_sl3_support,
     multiplicity_matrix,
@@ -24,7 +26,7 @@ from .errors import GhcseriesError, InvalidInput, OutOfRegime
 from .fixtures import get_fixture
 from .parabolic import bounds_report, invariants, minimal_parabolic, mu_omega
 from .report import character_pairs, rational, render_json, render_table, weight_coords
-from .rootsys import Weight, build_root_system, weyl_group
+from .rootsys import Weight, build_root_system
 from .sl2embed import (
     from_defining_vector,
     from_principal,
@@ -207,7 +209,7 @@ def cmd_analyze(args) -> dict:
             "rank": rs.rank,
             "dimension": rs.dim,
             "root_count": len(rs.roots),
-            "weyl_order": len(weyl_group(rs)),
+            "weyl_order": rs.weyl_order,
             "adjoint_k_types": [[m, c] for m, c in decomposition.counts],
         },
         "parabolic": {
@@ -305,9 +307,22 @@ def _element_doc(element, orbit_id=None) -> dict:
     return doc
 
 
+def _block_central_character(args, p):
+    """The central character of --kappa, once the pair is known to have a block.
+
+    The pair-only checks run before the Weyl group is built, so an
+    unsupported pair exits at once; a kappa of the wrong length is still
+    invalid input first.
+    """
+    kappa = Weight(parse_rationals(args.kappa))
+    _check_kappa_length(kappa, p.embedding.rs)
+    _check_matrix_regime(p)
+    return central_character_from_kappa(kappa, p.embedding.rs)
+
+
 def cmd_block(args) -> dict:
     pair, emb, p = _resolve_pair(args)
-    kappa = central_character_from_kappa(Weight(parse_rationals(args.kappa)), emb.rs)
+    kappa = _block_central_character(args, p)
     matrix = multiplicity_matrix(kappa, p)
     return {
         "command": "block",
@@ -331,7 +346,7 @@ def cmd_block(args) -> dict:
 def cmd_socle(args) -> dict:
     pair, emb, p = _resolve_pair(args)
     cutoff = _cutoff(args)
-    kappa = central_character_from_kappa(Weight(parse_rationals(args.kappa)), emb.rs)
+    kappa = _block_central_character(args, p)
     matrix = multiplicity_matrix(kappa, p)
     hits = [e for e in matrix.elements if e.mu == args.mu]
     if not hits:

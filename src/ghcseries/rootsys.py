@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -197,6 +198,21 @@ class RootSystem:
     def dim(self) -> int:
         return len(self.roots) + self.rank
 
+    @property
+    def weyl_order(self) -> int:
+        """Order of the Weyl group: the product of its factors' orders."""
+        order = 1
+        for fam, rank in self.type_label:
+            if fam == "A":
+                order *= factorial(rank + 1)
+            elif fam in ("B", "C"):
+                order *= 2**rank * factorial(rank)
+            elif fam == "D":
+                order *= 2 ** (rank - 1) * factorial(rank)
+            else:  # G2
+                order *= 12
+        return order
+
     def is_root(self, w: Weight) -> bool:
         return w.coords in {r.coords for r in self.roots}
 
@@ -359,9 +375,31 @@ def generate_group(
     return tuple(elements)
 
 
+# Groups built so far in this process, keyed by the arguments of
+# generate_group.  Total rank is capped at MAX_TOTAL_RANK, so the keys are
+# finite and nothing is ever evicted.
+_GROUPS: dict[tuple, tuple[WeylElement, ...]] = {}
+
+
+def _memo_group(
+    generators: Sequence[Weight], positive_roots: Sequence[Weight], ambient: int
+) -> tuple[WeylElement, ...]:
+    """generate_group, run at most once per process for each argument triple."""
+    key = (tuple(generators), tuple(positive_roots), ambient)
+    group = _GROUPS.get(key)
+    if group is None:
+        group = _GROUPS[key] = generate_group(*key)
+    return group
+
+
 def weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
-    """The full Weyl group, enumerated by closure under simple reflections."""
-    return generate_group(rs.simple_roots, rs.positive_roots, rs.ambient)
+    """The full Weyl group, enumerated by closure under simple reflections.
+
+    The group is built once per process for each root system and the same
+    tuple is returned to every caller; treat it and its elements as
+    immutable.
+    """
+    return _memo_group(rs.simple_roots, rs.positive_roots, rs.ambient)
 
 
 def _orthogonality_components(

@@ -24,6 +24,7 @@ from ghcseries import (
     reconstructibility_report,
     socle_k_character,
 )
+from ghcseries import rootsys
 from ghcseries.charseries import ModuleDatumE
 from ghcseries.parabolic import mu_omega
 
@@ -94,6 +95,31 @@ def test_integral_subgroup_orders():
     assert len(integral_weyl_subgroup(Weight.of(Fraction(3, 2), Fraction(1, 2)), rs)) == 4
     assert len(integral_weyl_subgroup(Weight.of(2, 1), rs)) == 8
     assert len(integral_weyl_subgroup(Weight.of(Fraction(1, 2), Fraction(1, 4)), rs)) == 1
+
+
+LINKAGE_CASES = [
+    (("C", 2), ["3/2,1/2", "-2,3/2", "-4,3", "-17/3,-8/3"]),
+    (("G", 2), ["1,1/2,9/2", "5,4,-3", "10/3,-13/3,-2"]),
+]
+
+
+@pytest.mark.parametrize("spec,kappas", LINKAGE_CASES)
+def test_integral_subgroups_are_memoized_fresh_closures(spec, kappas, monkeypatch):
+    monkeypatch.setattr(rootsys, "_GROUPS", {})
+    rs = build_root_system((spec,))
+    p = minimal_parabolic(from_principal(rs))
+    for text in kappas:
+        kappa = Weight.of(*(Fraction(c) for c in text.split(",")))
+        matrix = multiplicity_matrix(central_character_from_kappa(kappa, rs), p)
+        for element in matrix.elements:
+            key = -(element.nu + p.rho_tilde_adapted)
+            group = integral_weyl_subgroup(key, rs, p.adapted_positive_roots)
+            positives = group.positive_roots
+            assert group.elements == rootsys.generate_group(
+                positives, positives, rs.ambient
+            )
+            again = integral_weyl_subgroup(key, rs, p.adapted_positive_roots)
+            assert again.elements is group.elements
 
 
 def test_multiplicity_matrix_rank_one_anchor():

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ghcseries import rootsys
 from ghcseries.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -94,6 +99,10 @@ EXIT_CASES = [
     (["character", "--fixture", "sp4-principal", "--mu", "2", "--cutoff", "-4"], 2),
     (["analyze", "--algebra", "C2", "--embedding", "root:1,2"], 2),
     (["analyze", "--algebra", "C2", "--embedding", "vector:1/2,0"], 2),
+    (["block", "--algebra", "C4", "--embedding", "principal", "--kappa", "3,2,1"], 2),
+    (["block", "--fixture", "sp4-long", "--kappa", "2,1,0"], 2),
+    (["block", "--algebra", "A1+A1+A1", "--embedding", "principal",
+      "--kappa", "0,0,1,-1,2,-2"], 3),
 ]
 
 
@@ -167,3 +176,105 @@ def test_module_entry_point_runs_in_subprocess():
     assert result.returncode == 0
     doc = json.loads(result.stdout)
     assert doc["k_multiplicity"] == 2
+
+
+UNSUPPORTED_BLOCK_PAIRS = [
+    ["--algebra", "C4", "--embedding", "principal", "--kappa=7/2,5/2,3/2,1/2"],
+    ["--algebra", "A1+A1+A1", "--embedding", "principal",
+     "--kappa=1/2,-1/2,3/2,-3/2,5/2,-5/2"],
+]
+
+
+@pytest.fixture
+def closures(monkeypatch):
+    """Count generate_group runs, starting from an empty group memo."""
+    count = [0]
+    fresh = rootsys.generate_group
+
+    def counted(*args):
+        count[0] += 1
+        return fresh(*args)
+
+    monkeypatch.setattr(rootsys, "_GROUPS", {})
+    monkeypatch.setattr(rootsys, "generate_group", counted)
+    return count
+
+
+@pytest.mark.parametrize("command", ["block", "socle"])
+@pytest.mark.parametrize("pair", UNSUPPORTED_BLOCK_PAIRS, ids=["C4", "A1+A1+A1"])
+def test_unsupported_blocks_exit_before_any_group_is_built(
+    command, pair, closures, capsys
+):
+    extra = ["--mu", "0"] if command == "socle" else []
+    assert main([command] + pair + extra) == 3
+    assert "UnsupportedRank" in capsys.readouterr().err
+    assert closures[0] == 0
+
+
+def test_supported_block_builds_each_group_once(closures, capsys):
+    assert main(["block", "--fixture", "sp4-principal", "--kappa", "3/2,1/2"]) == 0
+    built = closures[0]
+    assert built == len(rootsys._GROUPS) > 0
+    socle = ["socle", "--fixture", "sp4-principal", "--kappa", "3/2,1/2", "--mu", "0"]
+    assert main(socle) == 0
+    assert closures[0] == built
+    capsys.readouterr()
+
+
+CONTRACT_ALGEBRAS = [
+    "A1", "A2", "A3", "B1", "B2", "B3", "C1", "C2", "C3", "D2", "D3", "G2",
+    "A1+A1", "A1+A2", "A1+B2", "A1+C2", "A1+G2", "A1+A1+A1",
+]
+COMMANDS = ["analyze", "character", "block", "socle", "iwasawa"]
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+
+
+def _text(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+@st.composite
+def cli_calls(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    cutoff = ["--cutoff", str(draw(st.integers(0, 200)))]
+    if command == "iwasawa":
+        return ["iwasawa", "--a", str(draw(st.integers(-2, 30))),
+                "--c", str(draw(small_rationals))] + cutoff
+    algebra = draw(st.sampled_from(CONTRACT_ALGEBRAS))
+    rs = rootsys.build_root_system(
+        (part[0], int(part[1:])) for part in algebra.split("+")
+    )
+    kind = draw(st.sampled_from(["principal", "root", "vector"]))
+    if kind == "principal":
+        embedding = "principal"
+    elif kind == "root":
+        embedding = "root:" + _text(draw(st.sampled_from(rs.roots)).coords)
+    else:
+        vector = draw(
+            st.lists(st.integers(-4, 4), min_size=rs.ambient, max_size=rs.ambient)
+        )
+        embedding = "vector:" + _text(vector)
+    argv = [command, "--algebra", algebra, "--embedding", embedding]
+    mu = ["--mu", str(draw(st.integers(-3, 12)))]
+    if command == "character":
+        virtual = ["--allow-virtual"] if draw(st.booleans()) else []
+        return argv + mu + cutoff + virtual
+    if command == "analyze":
+        return argv + ["--lambda-convention", draw(st.sampled_from(["n", "perp"]))]
+    length = draw(st.sampled_from([rs.ambient, rs.ambient, rs.ambient, rs.ambient + 1]))
+    kappa = draw(st.lists(small_rationals, min_size=length, max_size=length, unique=True))
+    argv += ["--kappa", _text(kappa)]
+    return argv + (mu + cutoff if command == "socle" else [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_calls())
+def test_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert err.getvalue().startswith("error: ")

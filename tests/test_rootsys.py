@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given
@@ -21,6 +21,7 @@ from ghcseries import (
     project_trace_zero,
     weyl_group,
 )
+from ghcseries import rootsys
 from oracles import bruhat_leq_subword
 
 SUPPORTED_SINGLE = [
@@ -44,6 +45,65 @@ def test_root_count_and_weyl_order(spec, root_count, weyl_order):
     assert len(rs.roots) == root_count
     assert len(rs.positive_roots) == root_count // 2
     assert len(weyl_group(rs)) == weyl_order
+
+
+FACTORS = [
+    ("A", 1), ("A", 2), ("A", 3), ("B", 1), ("B", 2), ("B", 3),
+    ("C", 1), ("C", 2), ("C", 3), ("D", 2), ("D", 3), ("G", 2),
+]
+# Every factor up to rank 3, and every direct sum of them up to total rank 3.
+UP_TO_RANK_3 = [
+    combo
+    for n in (1, 2, 3)
+    for combo in combinations_with_replacement(FACTORS, n)
+    if sum(rank for _, rank in combo) <= 3
+]
+# Every factor up to rank 4, and direct sums that reach total rank 4.
+ORDER_SPECS = [(f,) for f in FACTORS] + [
+    (("A", 4),), (("B", 4),), (("C", 4),), (("D", 4),),
+    (("A", 1), ("A", 1), ("A", 1), ("A", 1)),
+    (("A", 2), ("A", 2)),
+    (("A", 1), ("C", 2)),
+    (("G", 2), ("A", 1), ("A", 1)),
+    (("A", 1), ("A", 3)),
+    (("B", 3), ("A", 1)),
+    (("B", 2), ("G", 2)),
+]
+
+
+def _label(spec):
+    return "+".join(f"{fam}{rank}" for fam, rank in spec)
+
+
+def _fresh_group(rs):
+    return rootsys.generate_group(rs.simple_roots, rs.positive_roots, rs.ambient)
+
+
+@pytest.mark.parametrize("spec", ORDER_SPECS, ids=_label)
+def test_weyl_order_formula_matches_the_closure(spec):
+    rs = build_root_system(spec)
+    assert rs.weyl_order == len(_fresh_group(rs))
+
+
+def test_weyl_group_is_built_once_per_root_system(monkeypatch):
+    monkeypatch.setattr(rootsys, "_GROUPS", {})
+    rs = build_root_system((("C", 2),))
+    group = weyl_group(rs)
+    assert weyl_group(rs) is group
+    assert weyl_group(build_root_system((("C", 2),))) is group
+    assert len(rootsys._GROUPS) == 1
+
+
+def test_memoized_groups_match_a_fresh_closure_and_never_collide(monkeypatch):
+    monkeypatch.setattr(rootsys, "_GROUPS", {})
+    groups = {}
+    for spec in UP_TO_RANK_3:
+        rs = build_root_system(spec)
+        groups[spec] = weyl_group(rs)
+        assert groups[spec] == _fresh_group(rs), spec
+    assert len(rootsys._GROUPS) == len(UP_TO_RANK_3)
+    # B2 and C2 have the same matrices but keep separate entries.
+    assert groups[(("B", 2),)] is not groups[(("C", 2),)]
 
 
 def test_direct_sum_counts_multiply():
