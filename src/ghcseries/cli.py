@@ -21,8 +21,14 @@ from .blocks import (
     multiplicity_matrix,
     socle_k_character,
 )
-from .charseries import ModuleDatumE, euler_k_character, f1_k_character, t_character_N
-from .errors import GhcseriesError, InvalidInput, OutOfRegime
+from .charseries import (
+    MAX_CUTOFF,
+    ModuleDatumE,
+    euler_k_character,
+    f1_k_character,
+    t_character_N,
+)
+from .errors import GhcseriesError, InvalidInput, OutOfRegime, UnsupportedRegime
 from .fixtures import get_fixture
 from .parabolic import bounds_report, invariants, minimal_parabolic, mu_omega
 from .report import character_pairs, rational, render_json, render_table, weight_coords
@@ -151,6 +157,8 @@ def _cutoff(args) -> int:
             ) from None
     if value < 0:
         raise InvalidInput("cutoff must be nonnegative")
+    if value > MAX_CUTOFF:
+        raise UnsupportedRegime(f"cutoff {value} exceeds the ceiling {MAX_CUTOFF}")
     return value
 
 

@@ -76,7 +76,7 @@ class SingularBlockUnsupported(UnsupportedRegime):
 
 
 class UnsupportedRank(UnsupportedRegime):
-    """Operation restricted to total rank at most 2."""
+    """Multiplicity matrices need a pair of total rank at most 2."""
 
 
 class InternalInconsistency(GhcseriesError):

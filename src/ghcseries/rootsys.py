@@ -19,7 +19,6 @@ from .errors import (
     InternalInconsistency,
     InvalidInput,
     UnsupportedAlgebra,
-    UnsupportedRank,
 )
 
 MAX_TOTAL_RANK = 4
@@ -91,10 +90,6 @@ def lex_positive(w: Weight) -> bool:
         if c != 0:
             return c > 0
     return False
-
-
-def _unit(n: int, i: int) -> Weight:
-    return Weight(tuple(Fraction(1 if j == i else 0) for j in range(n)))
 
 
 def _embed(block: Sequence[Fraction], offset: int, ambient: int) -> Weight:
@@ -299,14 +294,6 @@ class WeylElement:
         )
 
 
-def identity_element(ambient: int) -> WeylElement:
-    m = tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(ambient))
-        for i in range(ambient)
-    )
-    return WeylElement(matrix=m, length=0)
-
-
 def reflection_matrix(alpha: Weight) -> tuple[tuple[Fraction, ...], ...]:
     """Matrix of s_alpha: v -> v - <v, alpha^vee> alpha."""
     n = len(alpha.coords)
@@ -333,18 +320,11 @@ def _mat_mul(a, b):
     )
 
 
-def _apply_matrix(m, w: Weight) -> Weight:
-    return WeylElement(matrix=m, length=0).apply(w)
-
-
 def length_of(matrix, positive_roots: Sequence[Weight]) -> int:
     """Number of given positive roots sent outside the positive set."""
     positive_set = {r.coords for r in positive_roots}
-    count = 0
-    for r in positive_roots:
-        if _apply_matrix(matrix, r).coords not in positive_set:
-            count += 1
-    return count
+    w = WeylElement(matrix=matrix, length=0)
+    return sum(1 for r in positive_roots if w.apply(r).coords not in positive_set)
 
 
 def generate_group(
@@ -356,7 +336,10 @@ def generate_group(
     deterministic and independent of generator order.
     """
     gen_mats = [reflection_matrix(a) for a in generators]
-    ident = identity_element(ambient).matrix
+    ident = tuple(
+        tuple(Fraction(1 if i == j else 0) for j in range(ambient))
+        for i in range(ambient)
+    )
     seen = {ident}
     frontier = [ident]
     while frontier:
@@ -402,86 +385,50 @@ def weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
     return _memo_group(rs.simple_roots, rs.positive_roots, rs.ambient)
 
 
-def _orthogonality_components(
-    positive_roots: Sequence[Weight],
-) -> tuple[tuple[Weight, ...], ...]:
-    """Partition positive roots into mutually orthogonal components."""
-    n = len(positive_roots)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if inner_product(positive_roots[i], positive_roots[j]) != 0:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[Weight]] = {}
-    for i, r in enumerate(positive_roots):
-        groups.setdefault(find(i), []).append(r)
-    comps = [tuple(g) for g in groups.values()]
-    comps.sort(key=lambda c: tuple(r.coords for r in c))
-    return tuple(comps)
-
-
-def _span_rank(weights: Sequence[Weight]) -> int:
-    rows = [list(w.coords) for w in weights]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c] != 0:
-                factor = rows[r][c] / rows[rank][c]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+# Bruhat tables of the groups in _GROUPS, under the same keys: the index of
+# each element by its matrix, the element lengths, and left multiplication
+# by each simple reflection (each element of length 1) as index lists.
+_TABLES: dict[tuple, tuple[dict, list[int], list[list[int]]]] = {}
 
 
 def bruhat_leq_over(
-    x: WeylElement, y: WeylElement, positive_roots: Sequence[Weight]
+    x: WeylElement, y: WeylElement, generators, positive_roots, ambient: int
 ) -> bool:
-    """Bruhat comparison componentwise over orthogonality components.
+    """Bruhat order in the group generate_group builds from the last three arguments.
 
-    Within each component the closed rule for rank <= 2 reflection groups
-    applies: u <= w iff u = w or the component length of u is strictly
-    smaller.  Components of rank >= 3 are rejected.
+    Uses the lifting property (Bjorner-Brenti, Combinatorics of Coxeter
+    Groups, ch. 2): for a simple s with sy < y, x <= y iff min(x, sx) <= sy.
+    The loop takes at most l(y) steps of table lookups and works at any
+    rank.  The group's table is built on its first comparison.  An element
+    outside the group raises GroupMismatch.
     """
-    for comp in _orthogonality_components(positive_roots):
-        if _span_rank(comp) > 2:
-            raise UnsupportedRank(
-                "Bruhat order implemented only for rank <= 2 components"
-            )
-        same = all(x.apply(r) == y.apply(r) for r in comp)
-        if same:
-            continue
-        positive_set = {r.coords for r in comp}
-        lx = sum(1 for r in comp if x.apply(r).coords not in positive_set)
-        ly = sum(1 for r in comp if y.apply(r).coords not in positive_set)
-        if lx >= ly:
-            return False
-    return True
+    key = (tuple(generators), tuple(positive_roots), ambient)
+    if key not in _TABLES:
+        group = _memo_group(*key)
+        index = {w.matrix: i for i, w in enumerate(group)}
+        left = [
+            [index[_mat_mul(s.matrix, w.matrix)] for w in group]
+            for s in group
+            if s.length == 1
+        ]
+        _TABLES[key] = (index, [w.length for w in group], left)
+    index, lengths, left = _TABLES[key]
+    try:
+        i, j = index[x.matrix], index[y.matrix]
+    except KeyError:
+        raise GroupMismatch("element does not belong to the group") from None
+    while lengths[i] < lengths[j]:
+        # A left descent s of y: x <= y iff min(x, sx) <= sy.
+        s = next(s for s in left if lengths[s[j]] < lengths[j])
+        j = s[j]
+        if lengths[s[i]] < lengths[i]:
+            i = s[i]
+    return i == j
 
 
 def bruhat_leq(x: WeylElement, y: WeylElement, rs: RootSystem) -> bool:
-    """Bruhat order on the full Weyl group of rs."""
-    root_set = {r.coords for r in rs.roots}
-    for e in (x, y):
-        if len(e.matrix) != rs.ambient:
-            raise GroupMismatch("element dimension does not match the root system")
-        if any(e.apply(r).coords not in root_set for r in rs.roots):
-            raise GroupMismatch("element does not permute the root set")
-    return bruhat_leq_over(x, y, rs.positive_roots)
+    """Bruhat order on the full Weyl group of rs, at any rank."""
+    return bruhat_leq_over(x, y, rs.simple_roots, rs.positive_roots, rs.ambient)
 
 
 def dot_orbit(kappa: Weight, rs: RootSystem) -> list[tuple[WeylElement, Weight]]:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ghcseries import FIXTURES, get_fixture
+from ghcseries import FIXTURES, get_fixture, rootsys
 
 settings.register_profile(
     "exact",
@@ -25,3 +25,19 @@ def pair(fixture_name):
     fixture = get_fixture(fixture_name)
     embedding = fixture.build_embedding()
     return embedding, fixture.build_parabolic()
+
+
+@pytest.fixture
+def closures(monkeypatch):
+    """Count generate_group runs, starting from empty group and Bruhat memos."""
+    count = [0]
+    fresh = rootsys.generate_group
+
+    def counted(*args):
+        count[0] += 1
+        return fresh(*args)
+
+    monkeypatch.setattr(rootsys, "_GROUPS", {})
+    monkeypatch.setattr(rootsys, "_TABLES", {})
+    monkeypatch.setattr(rootsys, "generate_group", counted)
+    return count

@@ -76,21 +76,27 @@ def reduced_words(rs, group) -> dict[WeylElement, list[int]]:
     return words
 
 
-def bruhat_leq_subword(rs, group, x: WeylElement, y: WeylElement) -> bool:
-    """x <= y iff x is the product of some subword of a reduced word for y.
+def bruhat_lower_intervals(rs, group) -> dict[WeylElement, frozenset[WeylElement]]:
+    """The lower Bruhat interval of every element, by the subword property.
 
-    Every subword product of a reduced word lies below y, and every
-    element below y arises this way, so collecting all 2^l products
-    gives the exact lower interval.
+    x <= y iff x is the product of some subword of a reduced word for y.
+    reduced_words extends the word of w by one letter i to reach ws, so the
+    subword products of ws's word are those of w's word, each taken with
+    and without a final s_i: the interval of ws is the interval of w
+    together with its right translate by s_i.
     """
     simples = [reflection_matrix(a) for a in rs.simple_roots]
-    word = reduced_words(rs, group)[y]
-    identity = min(group, key=lambda w: w.length)
-    reachable = {identity}
-    for mask in range(1 << len(word)):
-        w = identity
-        for pos, idx in enumerate(word):
-            if mask >> pos & 1:
-                w = _right_multiply(rs, w, simples[idx])
-        reachable.add(w)
-    return x in reachable
+    by_matrix = {w.matrix: w for w in group}
+    words = reduced_words(rs, group)
+    intervals: dict[WeylElement, frozenset[WeylElement]] = {}
+    for y, word in sorted(words.items(), key=lambda item: len(item[1])):
+        if not word:
+            intervals[y] = frozenset([y])
+            continue
+        prefix = by_matrix[_mat_mul(y.matrix, simples[word[-1]])]
+        assert words[prefix] == word[:-1]
+        below = intervals[prefix]
+        intervals[y] = below | {
+            by_matrix[_mat_mul(u.matrix, simples[word[-1]])] for u in below
+        }
+    return intervals

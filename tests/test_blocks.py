@@ -10,6 +10,7 @@ from ghcseries import (
     SingularBlockUnsupported,
     UnsupportedLevi,
     UnsupportedRank,
+    UnsupportedRegime,
     Weight,
     build_root_system,
     central_character_from_kappa,
@@ -25,6 +26,7 @@ from ghcseries import (
     socle_k_character,
 )
 from ghcseries import rootsys
+from ghcseries.blocks import MAX_IWASAWA_A
 from ghcseries.charseries import ModuleDatumE
 from ghcseries.parabolic import mu_omega
 
@@ -299,3 +301,6 @@ def test_iwasawa_support_family():
         assert support.b_values == tuple(-3 * a + 6 * j for j in range(a + 1))
     with pytest.raises(InvalidInput):
         iwasawa_sl3_support(-1, 0)
+    assert len(iwasawa_sl3_support(MAX_IWASAWA_A, 0).b_values) == MAX_IWASAWA_A + 1
+    with pytest.raises(UnsupportedRegime):
+        iwasawa_sl3_support(MAX_IWASAWA_A + 1, 0)

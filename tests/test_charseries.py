@@ -12,6 +12,7 @@ from ghcseries import (
     ModuleDatumE,
     OutOfRegime,
     TruncatedTCharacter,
+    UnsupportedRegime,
     WindowTooNarrow,
     euler_k_character,
     f1_k_character,
@@ -20,7 +21,7 @@ from ghcseries import (
     partition_function,
     t_character_N,
 )
-from ghcseries.charseries import _partition_counts
+from ghcseries.charseries import MAX_CUTOFF, _partition_counts
 from oracles import brute_vector_partitions, koszul_euler_coefficient
 
 
@@ -40,6 +41,15 @@ def test_partition_table_rejects_nonpositive_weights():
         _partition_counts((2, -1), -1)
     with pytest.raises(InvalidInput):
         partition_function((2, -1), 3)
+
+
+def test_partition_lists_stop_at_the_ceiling():
+    assert MAX_CUTOFF > 800
+    assert len(_partition_counts((2, 2, 4, 6), MAX_CUTOFF)) == MAX_CUTOFF + 1
+    with pytest.raises(UnsupportedRegime):
+        _partition_counts((2, 2, 4, 6), MAX_CUTOFF + 1)
+    with pytest.raises(UnsupportedRegime):
+        partition_function((1,), MAX_CUTOFF + 1)
 
 
 @given(

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghcseries import rootsys
+from ghcseries.blocks import MAX_IWASAWA_A
+from ghcseries.charseries import MAX_CUTOFF
 from ghcseries.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -103,6 +105,14 @@ EXIT_CASES = [
     (["block", "--fixture", "sp4-long", "--kappa", "2,1,0"], 2),
     (["block", "--algebra", "A1+A1+A1", "--embedding", "principal",
       "--kappa", "0,0,1,-1,2,-2"], 3),
+    # Ceilings: one past each, so the call stays cheap should a check go.
+    (["character", "--fixture", "sp4-principal", "--mu", "0",
+      "--cutoff", str(MAX_CUTOFF + 1)], 3),
+    (["socle", "--fixture", "sp4-principal", "--kappa", "3/2,1/2", "--mu", "0",
+      "--cutoff", str(MAX_CUTOFF + 1)], 3),
+    (["character", "--fixture", "sp4-principal", "--mu", str(-MAX_CUTOFF),
+      "--allow-virtual", "--cutoff", "10"], 3),
+    (["iwasawa", "--a", str(MAX_IWASAWA_A + 1)], 3),
 ]
 
 
@@ -148,6 +158,9 @@ def test_cutoff_environment_override(capsys, monkeypatch):
     assert doc["cutoff"] == 12
     monkeypatch.setenv("GHCSERIES_CUTOFF", "many")
     assert main(["character", "--fixture", "sp4-principal", "--mu", "0"]) == 2
+    monkeypatch.setenv("GHCSERIES_CUTOFF", str(MAX_CUTOFF + 1))
+    assert main(["character", "--fixture", "sp4-principal", "--mu", "0"]) == 3
+    assert f"cutoff {MAX_CUTOFF + 1} exceeds" in capsys.readouterr().err
 
 
 def test_default_cutoff_is_sixty(capsys, monkeypatch):
@@ -185,21 +198,6 @@ UNSUPPORTED_BLOCK_PAIRS = [
 ]
 
 
-@pytest.fixture
-def closures(monkeypatch):
-    """Count generate_group runs, starting from an empty group memo."""
-    count = [0]
-    fresh = rootsys.generate_group
-
-    def counted(*args):
-        count[0] += 1
-        return fresh(*args)
-
-    monkeypatch.setattr(rootsys, "_GROUPS", {})
-    monkeypatch.setattr(rootsys, "generate_group", counted)
-    return count
-
-
 @pytest.mark.parametrize("command", ["block", "socle"])
 @pytest.mark.parametrize("pair", UNSUPPORTED_BLOCK_PAIRS, ids=["C4", "A1+A1+A1"])
 def test_unsupported_blocks_exit_before_any_group_is_built(
@@ -208,6 +206,13 @@ def test_unsupported_blocks_exit_before_any_group_is_built(
     extra = ["--mu", "0"] if command == "socle" else []
     assert main([command] + pair + extra) == 3
     assert "UnsupportedRank" in capsys.readouterr().err
+    assert closures[0] == 0
+
+
+def test_cutoff_ceiling_fails_before_any_group_is_built(closures, capsys):
+    socle = ["socle", "--fixture", "sp4-principal", "--kappa", "3/2,1/2", "--mu", "0"]
+    assert main(socle + ["--cutoff", str(MAX_CUTOFF + 1)]) == 3
+    assert f"cutoff {MAX_CUTOFF + 1} exceeds" in capsys.readouterr().err
     assert closures[0] == 0
 
 

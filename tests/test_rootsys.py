@@ -11,7 +11,6 @@ from ghcseries import (
     GroupMismatch,
     InvalidInput,
     UnsupportedAlgebra,
-    UnsupportedRank,
     Weight,
     bruhat_leq,
     build_root_system,
@@ -22,7 +21,7 @@ from ghcseries import (
     weyl_group,
 )
 from ghcseries import rootsys
-from oracles import bruhat_leq_subword
+from oracles import bruhat_lower_intervals
 
 SUPPORTED_SINGLE = [
     (("A", 1), 2, 2),
@@ -184,14 +183,19 @@ def test_group_is_closed_and_has_unique_identity():
 
 
 RANK2_BRUHAT = [(("A", 1),), (("A", 1), ("A", 1)), (("A", 2),), (("C", 2),), (("G", 2),)]
+RANK3_BRUHAT = [
+    (("A", 3),), (("B", 3),), (("C", 3),), (("A", 1), ("A", 2)),
+    (("A", 1), ("A", 1), ("A", 1)),
+]
 
 
-@pytest.mark.parametrize("spec", RANK2_BRUHAT)
+@pytest.mark.parametrize("spec", RANK2_BRUHAT + RANK3_BRUHAT)
 def test_bruhat_order_matches_subword_oracle_exhaustively(spec):
     rs = build_root_system(spec)
     group = weyl_group(rs)
+    below = bruhat_lower_intervals(rs, group)
     for x, y in product(group, repeat=2):
-        assert bruhat_leq(x, y, rs) == bruhat_leq_subword(rs, group, x, y)
+        assert bruhat_leq(x, y, rs) == (x in below[y]), (x, y)
 
 
 def test_bruhat_basic_axioms():
@@ -213,11 +217,13 @@ def test_bruhat_rejects_foreign_elements():
         bruhat_leq(w, w, rs_a)
 
 
-def test_bruhat_raises_on_irreducible_rank_three():
-    rs = build_root_system((("A", 3),))
+def test_bruhat_reuses_the_weyl_group_closure(closures):
+    rs = build_root_system((("B", 3),))
     group = weyl_group(rs)
-    with pytest.raises(UnsupportedRank):
-        bruhat_leq(group[1], group[-1], rs)
+    assert closures[0] == 1
+    assert bruhat_leq(group[0], group[-1], rs)
+    assert not bruhat_leq(group[-1], group[1], rs)
+    assert closures[0] == 1
 
 
 def test_bruhat_componentwise_on_products():
