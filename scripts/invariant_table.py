@@ -39,7 +39,7 @@ def main() -> int:
         rows.append(
             (
                 name,
-                fixture.algebra_label(),
+                fixture.algebra,
                 ",".join(str(w) for w in p.n_weights),
                 str(rational(inv.rho_n)),
                 str(l1),

@@ -28,7 +28,6 @@ from .errors import (
     UnsupportedRegime,
 )
 from .parabolic import (
-    BoundsReport,
     CompatibleParabolic,
     bounds_report,
     genericity_check,
@@ -122,7 +121,7 @@ def enumerate_block(
             )
         gamma = p.m_positive_roots[0]
 
-    shift = sum(p.n_weights) - 2
+    shift = p.two_rho_n_perp
     seen: dict[tuple, tuple[WeylElement, int]] = {}
     for w in weyl_group(rs):
         nu = w.apply(kappa.representative) - p.rho_tilde_adapted
@@ -429,7 +428,6 @@ class ReconstructibilityReport:
     strong: bool
     generic: bool
     regular_embedding: bool
-    thresholds: BoundsReport
 
 
 def reconstructibility_report(
@@ -448,7 +446,6 @@ def reconstructibility_report(
         strong=Fraction(mu) >= thresholds.strong(convention).exact,
         generic=genericity_check(p, mu).generic,
         regular_embedding=is_regular(p.embedding),
-        thresholds=thresholds,
     )
 
 

@@ -72,10 +72,6 @@ def partition_function(weights, x: int) -> int:
     return counts[-1] if counts else 0
 
 
-def _minimal_k_type(p: CompatibleParabolic, E: ModuleDatumE) -> int:
-    return E.omega + (sum(p.n_weights) - 2)
-
-
 def t_character_N(
     p: CompatibleParabolic, E: ModuleDatumE, cutoff: int
 ) -> TruncatedTCharacter:
@@ -84,7 +80,7 @@ def t_character_N(
     The minimum t-weight is mu + 2 with multiplicity dim E; above it the
     multiplicity at x is dim E times the partition count of x - mu - 2.
     """
-    mu = _minimal_k_type(p, E)
+    mu = E.omega + p.two_rho_n_perp
     counts = _partition_counts(p.n_weights, cutoff - mu - 2)
     mults = {mu + 2 + i: E.dim_e * c for i, c in enumerate(counts)}
     return TruncatedTCharacter(mults, window=(None, cutoff))
@@ -128,7 +124,7 @@ def f1_k_character(
     character is minus this one; the multiplicity of V(delta) is dim E
     times the first difference of the partition table at delta - mu.
     """
-    mu = _minimal_k_type(p, E)
+    mu = E.omega + p.two_rho_n_perp
     if mu < 0:
         raise OutOfRegime(
             f"mu = {mu} < 0: lower and upper degrees need not vanish there"

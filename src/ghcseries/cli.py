@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from fractions import Fraction
 
@@ -29,56 +28,13 @@ from .charseries import (
     t_character_N,
 )
 from .errors import GhcseriesError, InvalidInput, OutOfRegime, UnsupportedRegime
-from .fixtures import get_fixture
-from .parabolic import bounds_report, invariants, minimal_parabolic, mu_omega
+from .fixtures import get_fixture, parse_algebra, parse_embedding, parse_rationals
+from .parabolic import bounds_report, invariants, minimal_parabolic
 from .report import character_pairs, rational, render_json, render_table, weight_coords
 from .rootsys import Weight, build_root_system
-from .sl2embed import (
-    from_defining_vector,
-    from_principal,
-    from_root,
-    is_regular,
-    sl2_decomposition,
-    t_character_of_g,
-)
+from .sl2embed import is_regular, sl2_decomposition, t_character_of_g
 
 DEFAULT_CUTOFF = 60
-
-_ALGEBRA_PART = re.compile(r"([A-Za-z])([0-9]+)")
-
-
-def parse_algebra(text: str) -> tuple[tuple[str, int], ...]:
-    parts = []
-    for chunk in text.split("+"):
-        m = _ALGEBRA_PART.fullmatch(chunk.strip())
-        if not m:
-            raise InvalidInput(
-                f"cannot parse algebra component {chunk!r}; expected e.g. C2 or A1+A1"
-            )
-        parts.append((m.group(1).upper(), int(m.group(2))))
-    return tuple(parts)
-
-
-def parse_rationals(text: str) -> tuple[Fraction, ...]:
-    values = []
-    for chunk in text.split(","):
-        try:
-            values.append(Fraction(chunk.strip()))
-        except (ValueError, ZeroDivisionError):
-            raise InvalidInput(f"cannot parse rational {chunk!r}") from None
-    return tuple(values)
-
-
-def parse_embedding(text: str, rs):
-    if text == "principal":
-        return from_principal(rs)
-    if text.startswith("root:"):
-        return from_root(rs, Weight(parse_rationals(text[len("root:"):])))
-    if text.startswith("vector:"):
-        return from_defining_vector(rs, Weight(parse_rationals(text[len("vector:"):])))
-    raise InvalidInput(
-        f"cannot parse embedding {text!r}; expected principal, root:..., or vector:..."
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,27 +123,19 @@ def _resolve_pair(args):
         if args.algebra or args.embedding:
             raise InvalidInput("give either --fixture or --algebra/--embedding, not both")
         fixture = get_fixture(args.fixture)
-        emb = fixture.build_embedding()
-        label = fixture.algebra_label()
-        emb_label = (
-            "principal"
-            if fixture.embedding == "principal"
-            else "root:" + ",".join(str(c) for c in fixture.beta)
-        )
+        algebra, embedding = fixture.algebra, fixture.embedding
         pair = {"fixture": fixture.name, "summary": fixture.summary}
     else:
         if not args.algebra or not args.embedding:
             raise InvalidInput("provide --fixture NAME, or both --algebra and --embedding")
-        spec = parse_algebra(args.algebra)
-        rs = build_root_system(spec)
-        emb = parse_embedding(args.embedding, rs)
-        label = "+".join(f"{fam}{rank}" for fam, rank in spec)
-        emb_label = args.embedding
+        algebra, embedding = args.algebra, args.embedding
         pair = {"fixture": None, "summary": None}
+    spec = parse_algebra(algebra)
+    emb = parse_embedding(embedding, build_root_system(spec))
     pair.update(
         {
-            "algebra": label,
-            "embedding": emb_label,
+            "algebra": "+".join(f"{fam}{rank}" for fam, rank in spec),
+            "embedding": embedding,
             "kind": emb.kind,
             "defining_vector": weight_coords(emb.h_vector),
             "regular": is_regular(emb),
@@ -265,7 +213,7 @@ def cmd_character(args) -> dict:
     pair, emb, p = _resolve_pair(args)
     cutoff = _cutoff(args)
     mu = args.mu
-    omega = mu_omega(p, mu, "mu_to_omega")
+    omega = mu - p.two_rho_n_perp
     datum = ModuleDatumE(omega=omega, dim_e=args.dim_e)
     n_char = t_character_N(p, datum, cutoff)
     if mu >= 0:

@@ -83,9 +83,8 @@ def top_n_vanishing(M: KCharacter, p: CompatibleParabolic, kappa: int) -> bool:
     True iff the degree-1 n_k-cohomology vanishes at kappa shifted by
     the weight of the top exterior power of the complement of e in n.
     """
-    shift = sum(p.n_weights) - 2
     _, h1 = nk_cohomology(M)
-    return h1.mult(kappa + shift) == 0
+    return h1.mult(kappa + p.two_rho_n_perp) == 0
 
 
 class Regime(Enum):

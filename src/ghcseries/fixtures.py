@@ -1,81 +1,83 @@
-"""Named example pairs (g, k) used by the command line and the tests."""
+"""The text form of a pair (g, k) and the named example pairs built from it.
+
+A pair is an algebra string (C2, A1+A1) and an embedding string
+(principal, root:COORDS, vector:COORDS); the command line and every
+fixture build their pairs from these strings through the same parsers.
+"""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import InvalidInput
 from .parabolic import CompatibleParabolic, minimal_parabolic
-from .rootsys import Weight, build_root_system
-from .sl2embed import Sl2Embedding, from_principal, from_root
+from .rootsys import RootSystem, Weight, build_root_system
+from .sl2embed import Sl2Embedding, from_defining_vector, from_principal, from_root
+
+_ALGEBRA_PART = re.compile(r"([A-Za-z])([0-9]+)")
+
+
+def parse_algebra(text: str) -> tuple[tuple[str, int], ...]:
+    parts = []
+    for chunk in text.split("+"):
+        m = _ALGEBRA_PART.fullmatch(chunk.strip())
+        if not m:
+            raise InvalidInput(
+                f"cannot parse algebra component {chunk!r}; expected e.g. C2 or A1+A1"
+            )
+        parts.append((m.group(1).upper(), int(m.group(2))))
+    return tuple(parts)
+
+
+def parse_rationals(text: str) -> tuple[Fraction, ...]:
+    values = []
+    for chunk in text.split(","):
+        try:
+            values.append(Fraction(chunk.strip()))
+        except (ValueError, ZeroDivisionError):
+            raise InvalidInput(f"cannot parse rational {chunk!r}") from None
+    return tuple(values)
+
+
+def parse_embedding(text: str, rs: RootSystem) -> Sl2Embedding:
+    if text == "principal":
+        return from_principal(rs)
+    if text.startswith("root:"):
+        return from_root(rs, Weight(parse_rationals(text[len("root:"):])))
+    if text.startswith("vector:"):
+        return from_defining_vector(rs, Weight(parse_rationals(text[len("vector:"):])))
+    raise InvalidInput(
+        f"cannot parse embedding {text!r}; expected principal, root:..., or vector:..."
+    )
 
 
 @dataclass(frozen=True)
 class FixturePair:
+    """A named pair, given by its --algebra and --embedding strings."""
+
     name: str
-    algebra: tuple[tuple[str, int], ...]
-    embedding: str  # "principal" | "root"
-    beta: tuple[int, ...] | None
+    algebra: str
+    embedding: str
     summary: str
 
-    def build_embedding(self) -> Sl2Embedding:
-        rs = build_root_system(self.algebra)
-        if self.embedding == "principal":
-            return from_principal(rs)
-        return from_root(rs, Weight.of(*self.beta))
-
     def build_parabolic(self) -> CompatibleParabolic:
-        return minimal_parabolic(self.build_embedding())
-
-    def algebra_label(self) -> str:
-        return "+".join(f"{fam}{rank}" for fam, rank in self.algebra)
+        rs = build_root_system(parse_algebra(self.algebra))
+        return minimal_parabolic(parse_embedding(self.embedding, rs))
 
 
 FIXTURES: dict[str, FixturePair] = {
     pair.name: pair
     for pair in (
         FixturePair(
-            name="sl2xsl2-diagonal",
-            algebra=(("A", 1), ("A", 1)),
-            embedding="principal",
-            beta=None,
-            summary="diagonal sl(2) in sl(2) x sl(2)",
+            "sl2xsl2-diagonal", "A1+A1", "principal", "diagonal sl(2) in sl(2) x sl(2)"
         ),
-        FixturePair(
-            name="sl3-root",
-            algebra=(("A", 2),),
-            embedding="root",
-            beta=(1, -1, 0),
-            summary="root sl(2) in sl(3)",
-        ),
-        FixturePair(
-            name="sl3-principal",
-            algebra=(("A", 2),),
-            embedding="principal",
-            beta=None,
-            summary="principal sl(2) in sl(3)",
-        ),
-        FixturePair(
-            name="sp4-long",
-            algebra=(("C", 2),),
-            embedding="root",
-            beta=(2, 0),
-            summary="long-root sl(2) in sp(4)",
-        ),
-        FixturePair(
-            name="sp4-short",
-            algebra=(("C", 2),),
-            embedding="root",
-            beta=(1, -1),
-            summary="short-root sl(2) in sp(4)",
-        ),
-        FixturePair(
-            name="sp4-principal",
-            algebra=(("C", 2),),
-            embedding="principal",
-            beta=None,
-            summary="principal sl(2) in sp(4)",
-        ),
+        FixturePair("sl3-root", "A2", "root:1,-1,0", "root sl(2) in sl(3)"),
+        FixturePair("sl3-principal", "A2", "principal", "principal sl(2) in sl(3)"),
+        FixturePair("sp4-long", "C2", "root:2,0", "long-root sl(2) in sp(4)"),
+        FixturePair("sp4-short", "C2", "root:1,-1", "short-root sl(2) in sp(4)"),
+        FixturePair("sp4-principal", "C2", "principal", "principal sl(2) in sp(4)"),
     )
 }
 

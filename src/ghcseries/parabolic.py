@@ -43,6 +43,11 @@ class CompatibleParabolic:
     def r(self) -> int:
         return len(self.n_roots) - 1
 
+    @property
+    def two_rho_n_perp(self) -> int:
+        """Shift from the t-weight omega of E to its minimal k-type mu."""
+        return sum(self.n_weights) - 2
+
     def n_perp_weights(self) -> tuple[int, ...]:
         """t-weights on the complement of the e-line inside n."""
         weights = list(self.n_weights)
@@ -58,8 +63,7 @@ def minimal_parabolic(e: Sl2Embedding) -> CompatibleParabolic:
     rs = e.rs
     graded: list[tuple[int, Weight]] = []
     m_roots: list[Weight] = []
-    for alpha in rs.roots:
-        v = e.root_value(alpha)
+    for v, alpha in zip(e.grading, rs.roots):
         if v > 0:
             graded.append((v, alpha))
         elif v == 0:
@@ -94,7 +98,6 @@ class ParabolicInvariants:
     rho_n: Fraction
     rho: int
     two_rho_n_perp: int
-    rho_tilde_n: Weight
     lambda1_n: int
     lambda2_n: int
     lambda1_perp: int
@@ -126,21 +129,17 @@ def _max_submax(weights: Sequence[int], fallback: int) -> tuple[int, int, bool, 
 
 
 def invariants(p: CompatibleParabolic) -> ParabolicInvariants:
-    total = sum(p.n_weights)
-    rho_n = Fraction(total, 2)
-    two_rho_n_perp = total - 2
     perp = p.n_perp_weights()
-    if sum(perp) != two_rho_n_perp:
+    if sum(perp) != p.two_rho_n_perp:
         raise InternalInconsistency("weight of the top exterior power drifted")
     l1n, l2n, _, l2n_def = _max_submax(p.n_weights, 0)
     l1p, l2p, l1p_def, l2p_def = _max_submax(perp, 0)
     if l1n < l1p:
         raise InternalInconsistency("dropping the e-line increased the maximum weight")
     return ParabolicInvariants(
-        rho_n=rho_n,
+        rho_n=Fraction(sum(p.n_weights), 2),
         rho=1,
-        two_rho_n_perp=two_rho_n_perp,
-        rho_tilde_n=p.rho_tilde_n,
+        two_rho_n_perp=p.two_rho_n_perp,
         lambda1_n=l1n,
         lambda2_n=l2n,
         lambda1_perp=l1p,
@@ -156,9 +155,7 @@ class GenericityResult:
     mu: int
     generic: bool
     witness: tuple[int, ...] | None
-    rho_n: Fraction
     closed_form_threshold: Fraction
-    closed_form_generic: bool
     rho_n_integral: bool
 
 
@@ -199,9 +196,8 @@ def genericity_check(p: CompatibleParabolic, mu: int) -> GenericityResult:
     rho_n = Fraction(sum(p.n_weights), 2)
     generic, witness = genericity_scan(p.n_weights, mu)
     threshold = rho_n - 1
-    closed = Fraction(mu) >= threshold
     integral = rho_n.denominator == 1
-    if integral and generic != closed:
+    if integral and generic != (mu >= threshold):
         raise InternalInconsistency(
             "submultiset scan disagrees with the closed-form threshold"
         )
@@ -209,9 +205,7 @@ def genericity_check(p: CompatibleParabolic, mu: int) -> GenericityResult:
         mu=mu,
         generic=generic,
         witness=witness,
-        rho_n=rho_n,
         closed_form_threshold=threshold,
-        closed_form_generic=closed,
         rho_n_integral=integral,
     )
 
@@ -276,16 +270,6 @@ def bounds_report(p: CompatibleParabolic) -> BoundsReport:
         prior_work=prior,
         prior_work_coefficients=coefficients,
     )
-
-
-def mu_omega(p: CompatibleParabolic, value: int, direction: str) -> int:
-    """Translate between the minimal k-type mu and the t-weight omega of E."""
-    shift = sum(p.n_weights) - 2
-    if direction == "omega_to_mu":
-        return value + shift
-    if direction == "mu_to_omega":
-        return value - shift
-    raise InvalidInput(f"direction must be mu_to_omega or omega_to_mu, got {direction!r}")
 
 
 def b_dominant(p: CompatibleParabolic, kappa: Weight) -> bool:

@@ -57,9 +57,6 @@ class Weight:
         c = _frac(c)
         return Weight(tuple(c * a for a in self.coords))
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
-
     def __len__(self) -> int:
         return len(self.coords)
 

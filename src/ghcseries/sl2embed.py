@@ -1,9 +1,10 @@
 """sl(2)-subalgebras given by a defining semisimple element.
 
-An embedding k = span{e, h, f} in g is recorded through the evaluation
-functional alpha -> alpha(h) on roots, represented by the epsilon-basis
-coordinate vector of h.  The induced integer grading of g and its
-decomposition into irreducible sl(2)-summands are derived from it.
+An embedding k = span{e, h, f} in g is recorded through the epsilon-basis
+coordinate vector of h and the integer grading alpha -> alpha(h) of the
+roots, computed once when the embedding is validated.  The t-character
+of g and its decomposition into irreducible sl(2)-summands are read off
+that grading.
 The character map types of the library (t-characters, and k-characters
 as their subclass) live here too, below every module that builds them.
 """
@@ -29,16 +30,13 @@ from .rootsys import RootSystem, TRACE_ZERO_FAMILIES, Weight, inner_product
 
 @dataclass(frozen=True)
 class Sl2Embedding:
+    """An sl(2) in g by its defining vector h; grading[i] is rs.roots[i](h)."""
+
     rs: RootSystem
     h_vector: Weight
     kind: str  # "principal" | "root" | "vector"
+    grading: tuple[int, ...]
     beta: Weight | None = None
-
-    def root_value(self, alpha: Weight) -> int:
-        v = inner_product(alpha, self.h_vector)
-        if v.denominator != 1:
-            raise InternalInconsistency("root evaluation became non-integral")
-        return int(v)
 
 
 class TruncatedTCharacter:
@@ -166,7 +164,9 @@ def _validated(
                 f"root {_point(alpha)} evaluates to non-integer {v}"
             )
         values.append(int(v))
-    e = Sl2Embedding(rs=rs, h_vector=h_vec, kind=kind, beta=beta)
+    e = Sl2Embedding(
+        rs=rs, h_vector=h_vec, kind=kind, grading=tuple(values), beta=beta
+    )
     ch = t_character_of_g(e)
     if ch.mult(2) < 1:
         raise NoSl2Triple("the weight-2 space of the grading is zero")
@@ -200,7 +200,7 @@ def from_root(rs: RootSystem, beta) -> Sl2Embedding:
         raise NotARoot(f"{_point(beta_w)} is not a root")
     h_vec = beta_w.scaled(Fraction(2) / inner_product(beta_w, beta_w))
     emb = _validated(rs, h_vec, kind="root", beta=beta_w)
-    if emb.root_value(beta_w) != 2:
+    if emb.grading[rs.roots.index(beta_w)] != 2:
         raise InternalInconsistency("coroot normalization failed")
     return emb
 
@@ -213,8 +213,7 @@ def _point(w: Weight) -> str:
 def t_character_of_g(e: Sl2Embedding) -> TruncatedTCharacter:
     """Each root contributes at alpha(h); the Cartan contributes rank at 0."""
     mults: dict[int, int] = {0: e.rs.rank}
-    for alpha in e.rs.roots:
-        v = e.root_value(alpha)
+    for v in e.grading:
         mults[v] = mults.get(v, 0) + 1
     return TruncatedTCharacter(mults)
 
@@ -250,4 +249,4 @@ def expand_decomposition(dec: Sl2Decomposition) -> TruncatedTCharacter:
 
 def is_regular(e: Sl2Embedding) -> bool:
     """True iff no root vanishes on h, i.e. the centralizer of t is a Cartan."""
-    return all(e.root_value(alpha) != 0 for alpha in e.rs.roots)
+    return 0 not in e.grading

@@ -22,9 +22,8 @@ def fixture_name(request):
 
 @pytest.fixture
 def pair(fixture_name):
-    fixture = get_fixture(fixture_name)
-    embedding = fixture.build_embedding()
-    return embedding, fixture.build_parabolic()
+    p = get_fixture(fixture_name).build_parabolic()
+    return p.embedding, p
 
 
 @pytest.fixture

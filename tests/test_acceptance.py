@@ -26,7 +26,6 @@ from ghcseries import (
     get_fixture,
     invariants,
     minimal_parabolic,
-    mu_omega,
     multiplicity_matrix,
     socle_k_character,
     t_character_N,
@@ -99,7 +98,7 @@ def test_c03_euler_characteristic_of_the_trivial_character():
 def test_c04_diagonal_pair_series_restricts_to_every_even_type_once():
     p = _parabolic("sl2xsl2-diagonal")
     cutoff = 40
-    f1 = f1_k_character(p, ModuleDatumE(omega=mu_omega(p, 0, "mu_to_omega")), cutoff)
+    f1 = f1_k_character(p, ModuleDatumE(omega=-p.two_rho_n_perp), cutoff)
     for delta in range(cutoff + 1):
         assert f1.mult(delta) == (1 if delta % 2 == 0 else 0)
 
@@ -109,7 +108,7 @@ def test_c05_minimal_k_type_has_multiplicity_dim_e_and_nothing_below():
         p = _parabolic(name)
         for dim_e in (1, 2):
             for mu in range(16):
-                omega = mu_omega(p, mu, "mu_to_omega")
+                omega = mu - p.two_rho_n_perp
                 f1 = f1_k_character(p, ModuleDatumE(omega=omega, dim_e=dim_e), mu + 6)
                 assert f1.mult(mu) == dim_e, (name, mu, dim_e)
                 for below in range(mu):

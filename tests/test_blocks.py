@@ -28,7 +28,6 @@ from ghcseries import (
 from ghcseries import rootsys
 from ghcseries.blocks import MAX_IWASAWA_A
 from ghcseries.charseries import ModuleDatumE
-from ghcseries.parabolic import mu_omega
 
 
 def _sp4_block():

@@ -17,7 +17,6 @@ from ghcseries import (
     euler_k_character,
     f1_k_character,
     get_fixture,
-    mu_omega,
     partition_function,
     t_character_N,
 )
@@ -76,7 +75,7 @@ def test_module_datum_validation():
 def test_series_t_character_starts_above_minimal_k_type(pair):
     _, p = pair
     for mu in (0, 1, 5):
-        omega = mu_omega(p, mu, "mu_to_omega")
+        omega = mu - p.two_rho_n_perp
         n_char = t_character_N(p, ModuleDatumE(omega=omega), 25)
         assert n_char.window == (None, 25)
         support = [w for w, _ in n_char.items()]
@@ -88,7 +87,7 @@ def test_series_t_character_starts_above_minimal_k_type(pair):
 
 def test_series_t_character_is_shifted_partition_count(pair):
     _, p = pair
-    omega = mu_omega(p, 4, "mu_to_omega")
+    omega = 4 - p.two_rho_n_perp
     n_char = t_character_N(p, ModuleDatumE(omega=omega, dim_e=3), 20)
     for x in range(0, 21):
         assert n_char.mult(x) == 3 * partition_function(p.n_weights, x - 6)
@@ -99,7 +98,7 @@ def test_series_characters_match_brute_partitions(pair):
     _, p = pair
     brute = {x: brute_vector_partitions(p.n_weights, x) for x in range(-2, 41)}
     for mu in (0, 3):
-        datum = ModuleDatumE(omega=mu_omega(p, mu, "mu_to_omega"), dim_e=2)
+        datum = ModuleDatumE(omega=mu - p.two_rho_n_perp, dim_e=2)
         for cutoff in (mu - 1, mu, mu + 1, mu + 2, mu + 3, 10, 20, 40):
             n_char = t_character_N(p, datum, cutoff)
             expected_n = {
@@ -162,7 +161,7 @@ def test_euler_matches_koszul_oracle_property(mults):
 def test_euler_equals_minus_f1_in_the_vanishing_regime():
     p = get_fixture("sp4-principal").build_parabolic()
     for mu in (0, 3, 7):
-        omega = mu_omega(p, mu, "mu_to_omega")
+        omega = mu - p.two_rho_n_perp
         datum = ModuleDatumE(omega=omega)
         f1 = f1_k_character(p, datum, 18)
         theta = euler_k_character(t_character_N(p, datum, 20), 18)
@@ -172,7 +171,7 @@ def test_euler_equals_minus_f1_in_the_vanishing_regime():
 
 def test_f1_values_for_sp4_principal():
     p = get_fixture("sp4-principal").build_parabolic()
-    f1 = f1_k_character(p, ModuleDatumE(omega=mu_omega(p, 3, "mu_to_omega")), 15)
+    f1 = f1_k_character(p, ModuleDatumE(omega=3 - p.two_rho_n_perp), 15)
     assert f1.items() == [(3, 1), (5, 1), (7, 2), (9, 3), (11, 4), (13, 5), (15, 7)]
     assert isinstance(f1, KCharacter)
     assert not f1.virtual
@@ -180,7 +179,7 @@ def test_f1_values_for_sp4_principal():
 
 def test_f1_respects_dim_e(pair):
     _, p = pair
-    omega = mu_omega(p, 2, "mu_to_omega")
+    omega = 2 - p.two_rho_n_perp
     single = f1_k_character(p, ModuleDatumE(omega=omega, dim_e=1), 12)
     triple = f1_k_character(p, ModuleDatumE(omega=omega, dim_e=3), 12)
     assert {d: 3 * c for d, c in single.mults.items()} == triple.mults
@@ -188,6 +187,6 @@ def test_f1_respects_dim_e(pair):
 
 def test_f1_requires_nonnegative_mu(pair):
     _, p = pair
-    omega = mu_omega(p, -1, "mu_to_omega")
+    omega = -1 - p.two_rho_n_perp
     with pytest.raises(OutOfRegime):
         f1_k_character(p, ModuleDatumE(omega=omega), 12)

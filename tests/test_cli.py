@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghcseries import rootsys
+from ghcseries import FIXTURES, rootsys
 from ghcseries.blocks import MAX_IWASAWA_A
 from ghcseries.charseries import MAX_CUTOFF
 from ghcseries.cli import main
@@ -68,14 +68,42 @@ def test_output_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_explicit_pair_matches_fixture(capsys):
-    assert main(["analyze", "--fixture", "sp4-principal"]) == 0
+def _doc_both_ways(name, command, capsys):
+    """The documents of --fixture NAME and of its own --algebra/--embedding."""
+    fixture = FIXTURES[name]
+    assert main([command[0], "--fixture", name] + command[1:]) == 0
     by_fixture = json.loads(capsys.readouterr().out)
-    assert main(["analyze", "--algebra", "C2", "--embedding", "principal"]) == 0
+    spec = ["--algebra", fixture.algebra, "--embedding", fixture.embedding]
+    assert main([command[0]] + spec + command[1:]) == 0
     by_spec = json.loads(capsys.readouterr().out)
-    for key in ("algebra", "parabolic", "invariants", "bounds"):
-        assert by_fixture[key] == by_spec[key]
-    assert by_spec["pair"]["fixture"] is None
+    assert by_fixture["pair"].pop("fixture") == name
+    assert by_fixture["pair"].pop("summary") == fixture.summary
+    assert by_spec["pair"].pop("fixture") is None
+    assert by_spec["pair"].pop("summary") is None
+    assert by_fixture == by_spec
+    return by_fixture
+
+
+def test_explicit_pair_matches_fixture(capsys):
+    for name in FIXTURES:
+        _doc_both_ways(name, ["analyze"], capsys)
+        _doc_both_ways(name, ["character", "--mu", "3", "--cutoff", "20"], capsys)
+
+
+REGULAR_KAPPAS = {
+    "sl2xsl2-diagonal": "1/2,-1/2,3/2,-3/2",
+    "sl3-principal": "1,0,-1",
+    "sp4-principal": "3/2,1/2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGULAR_KAPPAS))
+def test_explicit_pair_matches_fixture_on_blocks(name, capsys):
+    kappa = "--kappa=" + REGULAR_KAPPAS[name]
+    block = _doc_both_ways(name, ["block", kappa], capsys)
+    mus = [e["mu"] for e in block["elements"]]
+    mu = min(m for m in mus if isinstance(m, int) and m >= 0 and mus.count(m) == 1)
+    _doc_both_ways(name, ["socle", kappa, "--mu", str(mu), "--cutoff", "30"], capsys)
 
 
 def test_root_embedding_spelling(capsys):
@@ -230,12 +258,19 @@ CONTRACT_ALGEBRAS = [
     "A1", "A2", "A3", "B1", "B2", "B3", "C1", "C2", "C3", "D2", "D3", "G2",
     "A1+A1", "A1+A2", "A1+B2", "A1+C2", "A1+G2", "A1+A1+A1",
 ]
+CONTRACT_FIXTURES = sorted(FIXTURES) + ["no-such-pair"]
 COMMANDS = ["analyze", "character", "block", "socle", "iwasawa"]
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=3)
 
 
 def _text(values) -> str:
     return ",".join(str(v) for v in values)
+
+
+def _root_system(algebra: str):
+    return rootsys.build_root_system(
+        (part[0], int(part[1:])) for part in algebra.split("+")
+    )
 
 
 @st.composite
@@ -245,21 +280,24 @@ def cli_calls(draw):
     if command == "iwasawa":
         return ["iwasawa", "--a", str(draw(st.integers(-2, 30))),
                 "--c", str(draw(small_rationals))] + cutoff
-    algebra = draw(st.sampled_from(CONTRACT_ALGEBRAS))
-    rs = rootsys.build_root_system(
-        (part[0], int(part[1:])) for part in algebra.split("+")
-    )
-    kind = draw(st.sampled_from(["principal", "root", "vector"]))
-    if kind == "principal":
-        embedding = "principal"
-    elif kind == "root":
-        embedding = "root:" + _text(draw(st.sampled_from(rs.roots)).coords)
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(CONTRACT_FIXTURES))
+        rs = _root_system(FIXTURES[name].algebra if name in FIXTURES else "A1")
+        argv = [command, "--fixture", name]
     else:
-        vector = draw(
-            st.lists(st.integers(-4, 4), min_size=rs.ambient, max_size=rs.ambient)
-        )
-        embedding = "vector:" + _text(vector)
-    argv = [command, "--algebra", algebra, "--embedding", embedding]
+        algebra = draw(st.sampled_from(CONTRACT_ALGEBRAS))
+        rs = _root_system(algebra)
+        kind = draw(st.sampled_from(["principal", "root", "vector"]))
+        if kind == "principal":
+            embedding = "principal"
+        elif kind == "root":
+            embedding = "root:" + _text(draw(st.sampled_from(rs.roots)).coords)
+        else:
+            vector = draw(
+                st.lists(st.integers(-4, 4), min_size=rs.ambient, max_size=rs.ambient)
+            )
+            embedding = "vector:" + _text(vector)
+        argv = [command, "--algebra", algebra, "--embedding", embedding]
     mu = ["--mu", str(draw(st.integers(-3, 12)))]
     if command == "character":
         virtual = ["--allow-virtual"] if draw(st.booleans()) else []

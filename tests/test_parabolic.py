@@ -19,7 +19,6 @@ from ghcseries import (
     inner_product,
     invariants,
     minimal_parabolic,
-    mu_omega,
 )
 
 N_WEIGHTS = {
@@ -185,19 +184,10 @@ def test_threshold_ceiling():
     assert strong.smallest_mu == 2
 
 
-def test_mu_omega_round_trip(pair):
-    _, p = pair
-    for mu in range(-5, 20):
-        omega = mu_omega(p, mu, "mu_to_omega")
-        assert mu_omega(p, omega, "omega_to_mu") == mu
-    with pytest.raises(InvalidInput):
-        mu_omega(p, 0, "sideways")
-
-
 def test_minimal_k_type_shift_is_two_rho_perp(pair):
     _, p = pair
-    inv = invariants(p)
-    assert mu_omega(p, 0, "omega_to_mu") == inv.two_rho_n_perp
+    assert p.two_rho_n_perp == sum(p.n_perp_weights())
+    assert p.two_rho_n_perp == invariants(p).two_rho_n_perp
 
 
 def test_b_dominance(pair):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given
@@ -18,7 +20,9 @@ from ghcseries import (
     from_principal,
     from_root,
     get_fixture,
+    inner_product,
     is_regular,
+    minimal_parabolic,
     sl2_decomposition,
     t_character_of_g,
 )
@@ -40,8 +44,9 @@ def test_principal_defining_vectors(spec, h):
     emb = from_principal(rs)
     assert emb.h_vector == Weight.of(*h)
     assert emb.kind == "principal"
+    grading = dict(zip(rs.roots, emb.grading))
     for alpha in rs.simple_roots:
-        assert emb.root_value(alpha) == 2
+        assert grading[alpha] == 2
     assert is_regular(emb)
 
 
@@ -73,6 +78,44 @@ def test_explicit_vector_validation_order():
         from_defining_vector(pair, Weight.of(1, -1, 3, -3))
     with pytest.raises(InvalidInput):
         from_defining_vector(pair, Weight.of(1, -1))
+
+
+FACTORS = [(fam, n) for fam in "ABC" for n in (1, 2, 3, 4)] + [
+    ("D", 2), ("D", 3), ("D", 4), ("G", 2),
+]
+# Every type, and every direct sum of types, up to total rank 4.
+UP_TO_RANK_4 = [
+    combo
+    for n in (1, 2, 3, 4)
+    for combo in combinations_with_replacement(FACTORS, n)
+    if sum(rank for _, rank in combo) <= 4
+]
+
+
+def _assert_grading_is_inner_products(emb):
+    rs = emb.rs
+    values = [inner_product(alpha, emb.h_vector) for alpha in rs.roots]
+    assert emb.grading == tuple(values)
+    assert all(type(v) is int for v in emb.grading)
+    assert is_regular(emb) == (0 not in values)
+    adjoint = Counter(values)
+    adjoint[0] += rs.rank
+    assert t_character_of_g(emb).mults == dict(adjoint)
+    p = minimal_parabolic(emb)
+    assert p.n_weights == tuple(sorted(v for v in values if v > 0))
+    assert p.n_weights == tuple(inner_product(a, emb.h_vector) for a in p.n_roots)
+
+
+@pytest.mark.parametrize(
+    "spec", UP_TO_RANK_4, ids=["+".join(f"{f}{n}" for f, n in s) for s in UP_TO_RANK_4]
+)
+def test_principal_grading_matches_inner_products(spec):
+    _assert_grading_is_inner_products(from_principal(build_root_system(spec)))
+
+
+def test_fixture_grading_matches_inner_products(pair):
+    emb, _ = pair
+    _assert_grading_is_inner_products(emb)
 
 
 def test_adjoint_t_character_shape(pair):
