@@ -215,21 +215,22 @@ def cmd_character(args) -> dict:
     mu = args.mu
     omega = mu - p.two_rho_n_perp
     datum = ModuleDatumE(omega=omega, dim_e=args.dim_e)
-    n_char = t_character_N(p, datum, cutoff)
-    if mu >= 0:
-        k_char = f1_k_character(p, datum, cutoff)
-        virtual = False
-    elif args.allow_virtual:
-        wide = t_character_N(p, datum, cutoff + 2)
-        theta = euler_k_character(wide, cutoff)
+    virtual = mu < 0 and args.allow_virtual
+    # The Euler character needs N through cutoff + 2; the printed
+    # t-character is the same list cut back to the window (None, cutoff).
+    n_char = t_character_N(p, datum, cutoff + 2 if virtual else cutoff)
+    n_mults = {x: c for x, c in n_char.mults.items() if x <= cutoff}
+    if virtual:
+        theta = euler_k_character(n_char, cutoff)
         k_char = type(theta)(
             {d: -c for d, c in theta.mults.items()}, cutoff=cutoff, virtual=True
         )
-        virtual = True
-    else:
+    elif mu < 0:
         raise OutOfRegime(
             f"mu = {mu} < 0 has no vanishing guarantee; pass --allow-virtual"
         )
+    else:
+        k_char = f1_k_character(p, datum, cutoff)
     return {
         "command": "character",
         "pair": pair,
@@ -240,7 +241,7 @@ def cmd_character(args) -> dict:
         "t_character_N": {
             "min_weight": mu + 2,
             "window_hi": cutoff,
-            "mults": character_pairs(n_char.mults),
+            "mults": character_pairs(n_mults),
         },
         "k_character_F1": {
             "virtual": virtual,

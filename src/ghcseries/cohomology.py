@@ -4,7 +4,9 @@ The n_k-cohomology of a k-type V(delta) sits in degrees 0 and 1 at
 t-weights delta and -delta-2, so the cohomology of a whole k-character
 is again a weight multiset.  On top of that the first page of the
 n-cohomology spectral sequence and the mu-regimes in which its top
-degree collapses are computed.
+degree collapses are computed.  Those two read the cohomology straight
+off the k-character's map, in the trusted windows nk_cohomology gives
+its two degrees, instead of building the degree characters.
 """
 
 from __future__ import annotations
@@ -14,7 +16,15 @@ from fractions import Fraction
 
 from .errors import IndexOutOfRange, InvalidInput, VirtualNotAllowed
 from .parabolic import CompatibleParabolic, invariants
-from .sl2embed import KCharacter, TruncatedTCharacter
+from .sl2embed import KCharacter, TruncatedTCharacter, _check_window
+
+
+def _cohomology_windows(M: KCharacter):
+    """Trusted windows of degrees 0 and 1; a virtual M has no cohomology."""
+    if M.virtual:
+        raise VirtualNotAllowed("n_k-cohomology needs a genuine character")
+    cut = M.cutoff
+    return (None, cut), (None if cut is None else -cut - 2, None)
 
 
 def nk_cohomology(M: KCharacter) -> tuple[TruncatedTCharacter, TruncatedTCharacter]:
@@ -24,15 +34,10 @@ def nk_cohomology(M: KCharacter) -> tuple[TruncatedTCharacter, TruncatedTCharact
     through e, and the Koszul complex 0 -> V -> Hom(n_k, V) -> 0 leaves
     the extreme weight spaces delta and -delta-2.
     """
-    if M.virtual:
-        raise VirtualNotAllowed("n_k-cohomology needs a genuine character")
-    h0 = dict(M.mults)
+    window0, window1 = _cohomology_windows(M)
     h1 = {-delta - 2: c for delta, c in M.mults.items()}
-    cut = M.cutoff
-    window0 = (None, cut)
-    window1 = (None if cut is None else -cut - 2, None)
     return (
-        TruncatedTCharacter(h0, window=window0),
+        TruncatedTCharacter(M.mults, window=window0),
         TruncatedTCharacter(h1, window=window1),
     )
 
@@ -62,18 +67,25 @@ def e1_page_dimension(
     The term is H0 tensor the j-th exterior power of the dual of the
     complement of the e-line in n, plus H1 tensor the (j-1)-st; dual
     exterior weights are negated sub-multiset sums, so H-lookups happen
-    at kappa plus the positive sums.
+    at kappa plus the positive sums.  H0 at x is M's multiplicity at x,
+    H1 at y is M's at -y-2, each checked against its nk_cohomology
+    window, so no degree character is built.
     """
     r = p.r
     if j < 0 or j > r + 1:
         raise IndexOutOfRange(f"degree {j} outside [0, {r + 1}]")
-    h0, h1 = nk_cohomology(M)
+    window0, window1 = _cohomology_windows(M)
     perp = p.n_perp_weights()
+    mults = M.mults
     total = 0
     for wt, c in exterior_weights(perp, j).items():
-        total += c * h0.mult(kappa + wt)
+        x = kappa + wt
+        _check_window(x, window0)
+        total += c * mults.get(x, 0)
     for wt, c in exterior_weights(perp, j - 1).items():
-        total += c * h1.mult(kappa + wt)
+        y = kappa + wt
+        _check_window(y, window1)
+        total += c * mults.get(-y - 2, 0)
     return total
 
 
@@ -82,9 +94,12 @@ def top_n_vanishing(M: KCharacter, p: CompatibleParabolic, kappa: int) -> bool:
 
     True iff the degree-1 n_k-cohomology vanishes at kappa shifted by
     the weight of the top exterior power of the complement of e in n.
+    H1 is read off M, as in e1_page_dimension.
     """
-    _, h1 = nk_cohomology(M)
-    return h1.mult(kappa + p.two_rho_n_perp) == 0
+    _, window1 = _cohomology_windows(M)
+    y = kappa + p.two_rho_n_perp
+    _check_window(y, window1)
+    return M.mults.get(-y - 2, 0) == 0
 
 
 class Regime(Enum):

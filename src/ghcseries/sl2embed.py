@@ -36,7 +36,6 @@ class Sl2Embedding:
     h_vector: Weight
     kind: str  # "principal" | "root" | "vector"
     grading: tuple[int, ...]
-    beta: Weight | None = None
 
 
 class TruncatedTCharacter:
@@ -65,11 +64,7 @@ class TruncatedTCharacter:
         self.virtual = bool(virtual)
 
     def mult(self, x: int) -> int:
-        lo, hi = self.window
-        if lo is not None and x < lo:
-            raise WindowTooNarrow(f"weight {x} below the trusted window {self.window}")
-        if hi is not None and x > hi:
-            raise WindowTooNarrow(f"weight {x} above the trusted window {self.window}")
+        _check_window(x, self.window)
         return self.mults.get(x, 0)
 
     def items(self) -> list[tuple[int, int]]:
@@ -96,6 +91,15 @@ class TruncatedTCharacter:
             f"{type(self).__name__}({dict(self.items())}, window={self.window}, "
             f"virtual={self.virtual})"
         )
+
+
+def _check_window(x: int, window: tuple[int | None, int | None]) -> None:
+    """Raise WindowTooNarrow unless x lies in the trusted window (lo, hi)."""
+    lo, hi = window
+    if lo is not None and x < lo:
+        raise WindowTooNarrow(f"weight {x} below the trusted window {window}")
+    if hi is not None and x > hi:
+        raise WindowTooNarrow(f"weight {x} above the trusted window {window}")
 
 
 class KCharacter(TruncatedTCharacter):
@@ -153,9 +157,7 @@ def from_defining_vector(rs: RootSystem, h) -> Sl2Embedding:
     return _validated(rs, h_vec, kind="vector")
 
 
-def _validated(
-    rs: RootSystem, h_vec: Weight, kind: str, beta: Weight | None = None
-) -> Sl2Embedding:
+def _validated(rs: RootSystem, h_vec: Weight, kind: str) -> Sl2Embedding:
     values = []
     for alpha in rs.roots:
         v = inner_product(alpha, h_vec)
@@ -164,9 +166,7 @@ def _validated(
                 f"root {_point(alpha)} evaluates to non-integer {v}"
             )
         values.append(int(v))
-    e = Sl2Embedding(
-        rs=rs, h_vector=h_vec, kind=kind, grading=tuple(values), beta=beta
-    )
+    e = Sl2Embedding(rs=rs, h_vector=h_vec, kind=kind, grading=tuple(values))
     ch = t_character_of_g(e)
     if ch.mult(2) < 1:
         raise NoSl2Triple("the weight-2 space of the grading is zero")
@@ -199,7 +199,7 @@ def from_root(rs: RootSystem, beta) -> Sl2Embedding:
     if not rs.is_root(beta_w):
         raise NotARoot(f"{_point(beta_w)} is not a root")
     h_vec = beta_w.scaled(Fraction(2) / inner_product(beta_w, beta_w))
-    emb = _validated(rs, h_vec, kind="root", beta=beta_w)
+    emb = _validated(rs, h_vec, kind="root")
     if emb.grading[rs.roots.index(beta_w)] != 2:
         raise InternalInconsistency("coroot normalization failed")
     return emb

@@ -3,8 +3,9 @@
 Each oracle recomputes a quantity from its definition with no shared code
 paths: the Euler characteristic as an alternating Hom-space sum over the
 two-step relative Koszul complex, vector partitions by direct enumeration,
-Bruhat order by the subword property, and exterior-power weights from
-itertools.combinations.
+Bruhat order by the subword property, exterior-power weights from
+itertools.combinations, and first-page dimensions from those weights and
+the n_k-cohomology windows written out by hand.
 """
 
 from __future__ import annotations
@@ -12,6 +13,12 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, product
 
+from ghcseries.errors import (
+    IndexOutOfRange,
+    InternalInconsistency,
+    VirtualNotAllowed,
+    WindowTooNarrow,
+)
 from ghcseries.rootsys import WeylElement, length_of, reflection_matrix
 
 
@@ -41,6 +48,47 @@ def brute_vector_partitions(weights: tuple[int, ...], x: int) -> int:
 def brute_exterior_weights(weights, j: int) -> dict[int, int]:
     """Weight multiset of Lambda^j of a sum of lines, by enumeration."""
     return dict(Counter(sum(combo) for combo in combinations(weights, j)))
+
+
+def brute_e1_page_dimension(M, p, j: int, kappa: int) -> int:
+    """Weight-kappa dimension of the j-th first-page term, from the definition.
+
+    The term is H0 tensor Lambda^j plus H1 tensor Lambda^(j-1) of the dual
+    of n minus the e-line.  For M = sum c_delta V(delta), H0 is c_x at
+    t-weight x and H1 is c_delta at -delta-2; both are known only where M
+    is, that is H0 through the cutoff and H1 down to -cutoff-2.  The checks
+    and messages follow the library's order: degree, genuineness, the
+    weight-2 root, then the first lookup outside its window, with H0 before
+    H1 and the subsets of each exterior power in colex order (the order in
+    which a sum first arises when the lines are added one at a time).
+    """
+    if j < 0 or j > p.r + 1:
+        raise IndexOutOfRange(f"degree {j} outside [0, {p.r + 1}]")
+    if M.virtual:
+        raise VirtualNotAllowed("n_k-cohomology needs a genuine character")
+    cutoff = M.window[1]
+    perp = list(p.n_weights)
+    if 2 not in perp:
+        raise InternalInconsistency("n carries no weight-2 root")
+    perp.remove(2)
+
+    def subsets(size):
+        return sorted(combinations(range(len(perp)), size), key=lambda c: c[::-1])
+
+    total = 0
+    for combo in subsets(j):
+        x = kappa + sum(perp[i] for i in combo)
+        if cutoff is not None and x > cutoff:
+            raise WindowTooNarrow(f"weight {x} above the trusted window (None, {cutoff})")
+        total += M.mults.get(x, 0)
+    for combo in subsets(j - 1) if j >= 1 else ():
+        y = kappa + sum(perp[i] for i in combo)
+        if cutoff is not None and y < -cutoff - 2:
+            raise WindowTooNarrow(
+                f"weight {y} below the trusted window ({-cutoff - 2}, None)"
+            )
+        total += M.mults.get(-y - 2, 0)
+    return total
 
 
 def _mat_mul(a, b):

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghcseries import FIXTURES, rootsys
+from ghcseries import FIXTURES, ModuleDatumE, charseries, get_fixture, rootsys, t_character_N
 from ghcseries.blocks import MAX_IWASAWA_A
 from ghcseries.charseries import MAX_CUTOFF
 from ghcseries.cli import main
+from ghcseries.report import character_pairs
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -177,6 +178,29 @@ def test_negative_mu_with_virtual_flag(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["k_character_F1"]["virtual"] is True
     assert doc["t_character_N"]["min_weight"] == -1
+
+
+def test_virtual_character_builds_one_partition_list(capsys, monkeypatch):
+    limits = []
+    counts = charseries._partition_counts
+
+    def counted(weights, limit):
+        limits.append(limit)
+        return counts(weights, limit)
+
+    monkeypatch.setattr(charseries, "_partition_counts", counted)
+    args = [
+        "character", "--fixture", "sp4-principal",
+        "--mu", "-3", "--allow-virtual", "--cutoff", "10",
+    ]
+    assert main(args) == 0
+    assert limits == [13]
+    doc = json.loads(capsys.readouterr().out)
+    p = get_fixture("sp4-principal").build_parabolic()
+    datum = ModuleDatumE(omega=-3 - p.two_rho_n_perp)
+    assert doc["t_character_N"]["mults"] == character_pairs(
+        t_character_N(p, datum, 10).mults
+    )
 
 
 def test_cutoff_environment_override(capsys, monkeypatch):

@@ -1,25 +1,34 @@
 from __future__ import annotations
 
+import functools
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghcseries import (
+    FIXTURES,
+    GhcseriesError,
     IndexOutOfRange,
     InvalidInput,
     KCharacter,
+    ModuleDatumE,
     Regime,
     TruncatedTCharacter,
     VirtualNotAllowed,
     WindowTooNarrow,
+    build_root_system,
     e1_page_dimension,
     exterior_weights,
+    f1_k_character,
     get_fixture,
+    minimal_parabolic,
     nk_cohomology,
     top_degree_regime,
     top_n_vanishing,
 )
-from oracles import brute_exterior_weights
+from ghcseries.fixtures import parse_algebra, parse_embedding
+from oracles import brute_e1_page_dimension, brute_exterior_weights
 
 
 def test_k_character_validation_and_lookup():
@@ -136,6 +145,98 @@ def test_top_page_term_detects_h1():
     assert e1_page_dimension(m, p, p.r + 1, -4 - 2 - shift) == 1
     assert not top_n_vanishing(m, p, -4 - 2 - shift)
     assert top_n_vanishing(m, p, 5)
+
+
+# Every fixture, plus the rank-4 principal and highest-root pairs.
+E1_PAIRS = sorted(FIXTURES) + [
+    ("C4", "principal"), ("C4", "root:2,0,0,0"),
+    ("B4", "principal"), ("B4", "root:1,1,0,0"),
+]
+
+
+@functools.cache
+def _parabolic(pair):
+    if isinstance(pair, str):
+        return get_fixture(pair).build_parabolic()
+    algebra, embedding = pair
+    rs = build_root_system(parse_algebra(algebra))
+    return minimal_parabolic(parse_embedding(embedding, rs))
+
+
+def _pair_id(pair):
+    return pair if isinstance(pair, str) else "-".join(pair)
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except GhcseriesError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def k_characters(draw):
+    """Genuine or (one time in four) virtual k-characters, complete or cut off."""
+    cutoff = draw(st.none() | st.integers(0, 80))
+    virtual = draw(st.integers(0, 3)) == 0
+    values = st.integers(-3, 3) if virtual else st.integers(0, 3)
+    top = 80 if cutoff is None else cutoff
+    mults = draw(st.dictionaries(st.integers(0, top), values, max_size=40))
+    return KCharacter(mults, cutoff=cutoff, virtual=virtual)
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(E1_PAIRS), k_characters(), st.integers(-60, 60), st.data())
+def test_e1_page_matches_brute_force(pair, m, kappa, data):
+    p = _parabolic(pair)
+    j = data.draw(st.integers(-1, p.r + 2), label="j")
+    assert _outcome(e1_page_dimension, m, p, j, kappa) == _outcome(
+        brute_e1_page_dimension, m, p, j, kappa
+    )
+
+
+@pytest.mark.parametrize("pair", E1_PAIRS, ids=_pair_id)
+def test_e1_window_on_series_characters_matches_brute_force(pair):
+    p = _parabolic(pair)
+    m = f1_k_character(p, ModuleDatumE(omega=5 - p.two_rho_n_perp), 120)
+    for kappa in (1, 5, 8, 118):
+        for j in range(p.r + 2):
+            assert _outcome(e1_page_dimension, m, p, j, kappa) == _outcome(
+                brute_e1_page_dimension, m, p, j, kappa
+            )
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(E1_PAIRS), k_characters(), st.integers(-60, 60))
+def test_top_n_vanishing_reads_the_degree_one_character(pair, m, kappa):
+    p = _parabolic(pair)
+    shift = sum(p.n_weights) - 2
+
+    def from_character():
+        return nk_cohomology(m)[1].mult(kappa + shift) == 0
+
+    assert _outcome(top_n_vanishing, m, p, kappa) == _outcome(from_character)
+
+
+def test_e1_window_builds_no_characters(monkeypatch):
+    p = _parabolic(("C4", "principal"))
+    m = f1_k_character(p, ModuleDatumE(omega=5 - p.two_rho_n_perp), 400)
+    built = []
+    init = TruncatedTCharacter.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TruncatedTCharacter, "__init__", counted)
+    for kappa in range(1, 9):
+        for j in range(p.r + 2):
+            e1_page_dimension(m, p, j, kappa)
+        top_n_vanishing(m, p, kappa)
+    assert built == []
+    nk_cohomology(m)
+    assert built == [TruncatedTCharacter, TruncatedTCharacter]
 
 
 REGIMES = {
