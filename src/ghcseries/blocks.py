@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .charseries import ModuleDatumE, f1_k_character
 from .errors import (
@@ -164,8 +165,8 @@ class IntegralWeylGroup:
 
     roots: tuple[Weight, ...]
     positive_roots: tuple[Weight, ...]
+    simple_roots: tuple[Weight, ...]
     elements: tuple[WeylElement, ...]
-    ambient: int
 
     def __iter__(self):
         return iter(self.elements)
@@ -174,9 +175,8 @@ class IntegralWeylGroup:
         return len(self.elements)
 
     def bruhat_leq(self, x: WeylElement, y: WeylElement) -> bool:
-        return bruhat_leq_over(
-            x, y, self.positive_roots, self.positive_roots, self.ambient
-        )
+        # The identity, first in the group, has the ambient size.
+        return bruhat_leq_over(x, y, self.simple_roots, len(self.elements[0].matrix))
 
 
 def integral_weyl_subgroup(
@@ -185,9 +185,11 @@ def integral_weyl_subgroup(
     """Group generated by reflections in the kappa-integral roots.
 
     The positive system is inherited from the given one (default: the
-    standard lexicographic system); element lengths are inversion counts
-    against it.  The elements are built once per process for each integral
-    positive system and shared, like weyl_group's.
+    standard lexicographic system).  Its simple roots, the positive integral
+    roots that are not a sum of two others (Humphreys, Introduction to Lie
+    Algebras, 10.1), generate the group; lengths count the positive roots
+    sent to negative ones.  The elements are built once per process for
+    each simple system and shared, like weyl_group's.
     """
     base = rs.positive_roots if positive_roots is None else tuple(positive_roots)
     integral = tuple(
@@ -201,9 +203,13 @@ def integral_weyl_subgroup(
         raise InternalInconsistency(
             "positive system does not split the integral roots in half"
         )
-    elements = _memo_group(positives, positives, rs.ambient)
+    sums = {(a + b).coords for a, b in combinations(positives, 2)}
+    simples = tuple(alpha for alpha in positives if alpha.coords not in sums)
+    elements = _memo_group(simples, rs.ambient)[0]
+    if elements[-1].length != len(positives):
+        raise InternalInconsistency("longest length is not the integral root count")
     return IntegralWeylGroup(
-        roots=integral, positive_roots=positives, elements=elements, ambient=rs.ambient
+        roots=integral, positive_roots=positives, simple_roots=simples, elements=elements
     )
 
 

@@ -32,7 +32,7 @@ from .fixtures import get_fixture, parse_algebra, parse_embedding, parse_rationa
 from .parabolic import bounds_report, invariants, minimal_parabolic
 from .report import character_pairs, rational, render_json, render_table, weight_coords
 from .rootsys import Weight, build_root_system
-from .sl2embed import is_regular, sl2_decomposition, t_character_of_g
+from .sl2embed import is_regular
 
 DEFAULT_CUTOFF = 60
 
@@ -157,7 +157,6 @@ def cmd_analyze(args) -> dict:
     bounds = bounds_report(p)
     conv = args.lambda_convention
     other = "perp" if conv == "n" else "n"
-    decomposition = sl2_decomposition(t_character_of_g(emb))
     return {
         "command": "analyze",
         "pair": pair,
@@ -166,7 +165,7 @@ def cmd_analyze(args) -> dict:
             "dimension": rs.dim,
             "root_count": len(rs.roots),
             "weyl_order": rs.weyl_order,
-            "adjoint_k_types": [[m, c] for m, c in decomposition.counts],
+            "adjoint_k_types": [[m, c] for m, c in emb.decomposition.counts],
         },
         "parabolic": {
             "n_weights": list(p.n_weights),

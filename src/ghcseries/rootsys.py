@@ -3,7 +3,9 @@
 Simple and semisimple algebras of types A, B, C, D, G2 and direct sums,
 total rank at most 4, realized in the standard orthonormal coordinates
 with the form <e_i, e_j> = delta_ij.  All arithmetic is over Fraction;
-no floating point anywhere.
+no floating point anywhere.  A Weyl group is built once per process for
+each simple system, in one closure pass that also gives the element
+lengths and the left-multiplication table its Bruhat order reads.
 """
 
 from __future__ import annotations
@@ -317,55 +319,54 @@ def _mat_mul(a, b):
     )
 
 
-def length_of(matrix, positive_roots: Sequence[Weight]) -> int:
-    """Number of given positive roots sent outside the positive set."""
-    positive_set = {r.coords for r in positive_roots}
-    w = WeylElement(matrix=matrix, length=0)
-    return sum(1 for r in positive_roots if w.apply(r).coords not in positive_set)
-
-
 def generate_group(
-    generators: Sequence[Weight], positive_roots: Sequence[Weight], ambient: int
-) -> tuple[WeylElement, ...]:
-    """Closure of the reflections in the given roots, lengths re-derived.
+    generators: Sequence[Weight], ambient: int
+) -> tuple[tuple[WeylElement, ...], dict, tuple[tuple[int, ...], ...]]:
+    """The group of a simple system, its lengths and table in one closure pass.
 
-    Elements are returned sorted by (length, matrix) so the order is
-    deterministic and independent of generator order.
+    A breadth-first closure from the identity left-multiplies by the
+    reflections in the simple roots `generators`; an element's depth is its
+    length (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7).
+    Returns the elements sorted by (length, matrix), the index of each
+    matrix in that order, and the products as the table left[k][i]: the
+    index of s_k times element i.
     """
     gen_mats = [reflection_matrix(a) for a in generators]
     ident = tuple(
         tuple(Fraction(1 if i == j else 0) for j in range(ambient))
         for i in range(ambient)
     )
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new_frontier = []
-        for m in frontier:
-            for g in gen_mats:
-                prod = _mat_mul(g, m)
-                if prod not in seen:
-                    seen.add(prod)
-                    new_frontier.append(prod)
-        frontier = new_frontier
-    elements = [
-        WeylElement(matrix=m, length=length_of(m, positive_roots)) for m in seen
-    ]
-    elements.sort(key=lambda e: (e.length, e.matrix))
-    return tuple(elements)
+    # Matrices are numbered as found; products and depths refer to those
+    # numbers, so each product is hashed once.
+    found = {ident: 0}
+    mats, depth = [ident], [0]
+    products: list[list[int]] = [[] for _ in gen_mats]
+    for k, m in enumerate(mats):  # mats grows while it is read: breadth first
+        for g, row in zip(gen_mats, products):
+            prod = _mat_mul(g, m)
+            number = found.get(prod)
+            if number is None:
+                number = found[prod] = len(mats)
+                mats.append(prod)
+                depth.append(depth[k] + 1)
+            row.append(number)
+    order = sorted(range(len(mats)), key=lambda k: (depth[k], mats[k]))
+    position = {k: i for i, k in enumerate(order)}
+    elements = tuple(WeylElement(matrix=mats[k], length=depth[k]) for k in order)
+    index = {w.matrix: i for i, w in enumerate(elements)}
+    left = tuple(tuple(position[row[k]] for k in order) for row in products)
+    return elements, index, left
 
 
 # Groups built so far in this process, keyed by the arguments of
-# generate_group.  Total rank is capped at MAX_TOTAL_RANK, so the keys are
-# finite and nothing is ever evicted.
-_GROUPS: dict[tuple, tuple[WeylElement, ...]] = {}
+# generate_group, with its whole result.  Total rank is capped at
+# MAX_TOTAL_RANK, so the keys are finite and nothing is ever evicted.
+_GROUPS: dict[tuple, tuple[tuple[WeylElement, ...], dict, tuple]] = {}
 
 
-def _memo_group(
-    generators: Sequence[Weight], positive_roots: Sequence[Weight], ambient: int
-) -> tuple[WeylElement, ...]:
-    """generate_group, run at most once per process for each argument triple."""
-    key = (tuple(generators), tuple(positive_roots), ambient)
+def _memo_group(generators: Sequence[Weight], ambient: int):
+    """generate_group, run at most once per process for each argument pair."""
+    key = (tuple(generators), ambient)
     group = _GROUPS.get(key)
     if group is None:
         group = _GROUPS[key] = generate_group(*key)
@@ -379,53 +380,40 @@ def weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
     tuple is returned to every caller; treat it and its elements as
     immutable.
     """
-    return _memo_group(rs.simple_roots, rs.positive_roots, rs.ambient)
-
-
-# Bruhat tables of the groups in _GROUPS, under the same keys: the index of
-# each element by its matrix, the element lengths, and left multiplication
-# by each simple reflection (each element of length 1) as index lists.
-_TABLES: dict[tuple, tuple[dict, list[int], list[list[int]]]] = {}
+    group = _memo_group(rs.simple_roots, rs.ambient)[0]
+    if group[-1].length != len(rs.positive_roots):
+        raise InternalInconsistency("longest length is not the positive root count")
+    return group
 
 
 def bruhat_leq_over(
-    x: WeylElement, y: WeylElement, generators, positive_roots, ambient: int
+    x: WeylElement, y: WeylElement, generators: Sequence[Weight], ambient: int
 ) -> bool:
-    """Bruhat order in the group generate_group builds from the last three arguments.
+    """Bruhat order in the group generate_group builds from the simple roots given.
 
     Uses the lifting property (Bjorner-Brenti, Combinatorics of Coxeter
     Groups, ch. 2): for a simple s with sy < y, x <= y iff min(x, sx) <= sy.
-    The loop takes at most l(y) steps of table lookups and works at any
-    rank.  The group's table is built on its first comparison.  An element
-    outside the group raises GroupMismatch.
+    The loop takes at most l(y) steps of lookups in the left-multiplication
+    table, which is built in the same closure pass as the group, and works
+    at any rank.  An element outside the group raises GroupMismatch.
     """
-    key = (tuple(generators), tuple(positive_roots), ambient)
-    if key not in _TABLES:
-        group = _memo_group(*key)
-        index = {w.matrix: i for i, w in enumerate(group)}
-        left = [
-            [index[_mat_mul(s.matrix, w.matrix)] for w in group]
-            for s in group
-            if s.length == 1
-        ]
-        _TABLES[key] = (index, [w.length for w in group], left)
-    index, lengths, left = _TABLES[key]
+    elements, index, left = _memo_group(generators, ambient)
     try:
         i, j = index[x.matrix], index[y.matrix]
     except KeyError:
         raise GroupMismatch("element does not belong to the group") from None
-    while lengths[i] < lengths[j]:
+    while elements[i].length < elements[j].length:
         # A left descent s of y: x <= y iff min(x, sx) <= sy.
-        s = next(s for s in left if lengths[s[j]] < lengths[j])
+        s = next(s for s in left if elements[s[j]].length < elements[j].length)
         j = s[j]
-        if lengths[s[i]] < lengths[i]:
+        if elements[s[i]].length < elements[i].length:
             i = s[i]
     return i == j
 
 
 def bruhat_leq(x: WeylElement, y: WeylElement, rs: RootSystem) -> bool:
     """Bruhat order on the full Weyl group of rs, at any rank."""
-    return bruhat_leq_over(x, y, rs.simple_roots, rs.positive_roots, rs.ambient)
+    return bruhat_leq_over(x, y, rs.simple_roots, rs.ambient)
 
 
 def dot_orbit(kappa: Weight, rs: RootSystem) -> list[tuple[WeylElement, Weight]]:

@@ -11,7 +11,7 @@ as their subclass) live here too, below every module that builds them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
@@ -36,6 +36,7 @@ class Sl2Embedding:
     h_vector: Weight
     kind: str  # "principal" | "root" | "vector"
     grading: tuple[int, ...]
+    decomposition: Sl2Decomposition  # of t_character_of_g, peeled on validation
 
 
 class TruncatedTCharacter:
@@ -166,12 +167,12 @@ def _validated(rs: RootSystem, h_vec: Weight, kind: str) -> Sl2Embedding:
                 f"root {_point(alpha)} evaluates to non-integer {v}"
             )
         values.append(int(v))
-    e = Sl2Embedding(rs=rs, h_vector=h_vec, kind=kind, grading=tuple(values))
+    e = Sl2Embedding(rs, h_vec, kind, tuple(values), decomposition=None)
     ch = t_character_of_g(e)
     if ch.mult(2) < 1:
         raise NoSl2Triple("the weight-2 space of the grading is zero")
-    sl2_decomposition(ch)  # raises NotIntegrable on negative peeling
-    return e
+    # sl2_decomposition raises NotIntegrable on negative peeling.
+    return replace(e, decomposition=sl2_decomposition(ch))
 
 
 def from_principal(rs: RootSystem) -> Sl2Embedding:

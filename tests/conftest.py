@@ -28,7 +28,7 @@ def pair(fixture_name):
 
 @pytest.fixture
 def closures(monkeypatch):
-    """Count generate_group runs, starting from empty group and Bruhat memos."""
+    """Count generate_group runs, starting from an empty group memo."""
     count = [0]
     fresh = rootsys.generate_group
 
@@ -37,6 +37,5 @@ def closures(monkeypatch):
         return fresh(*args)
 
     monkeypatch.setattr(rootsys, "_GROUPS", {})
-    monkeypatch.setattr(rootsys, "_TABLES", {})
     monkeypatch.setattr(rootsys, "generate_group", counted)
     return count

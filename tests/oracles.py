@@ -3,14 +3,18 @@
 Each oracle recomputes a quantity from its definition with no shared code
 paths: the Euler characteristic as an alternating Hom-space sum over the
 two-step relative Koszul complex, vector partitions by direct enumeration,
-Bruhat order by the subword property, exterior-power weights from
-itertools.combinations, and first-page dimensions from those weights and
-the n_k-cohomology windows written out by hand.
+Bruhat order by the subword property, Weyl groups as the closure under
+every positive reflection with inversion-count lengths, exterior-power
+weights from itertools.combinations, and first-page dimensions from those
+weights and the n_k-cohomology windows written out by hand.  Nothing is
+imported from the library but its error classes and the WeylElement
+record the group oracles return.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, product
 
 from ghcseries.errors import (
@@ -19,7 +23,7 @@ from ghcseries.errors import (
     VirtualNotAllowed,
     WindowTooNarrow,
 )
-from ghcseries.rootsys import WeylElement, length_of, reflection_matrix
+from ghcseries.rootsys import WeylElement
 
 
 def koszul_euler_coefficient(mults: dict[int, int], delta: int) -> int:
@@ -99,14 +103,76 @@ def _mat_mul(a, b):
     )
 
 
+def _exact(x: Fraction):
+    """x as an int when it is one: ints multiply faster than Fractions, and
+    compare and hash equal to them, so results still equal the library's."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _reflection(root) -> tuple:
+    """Matrix of v -> v - 2 <v, root> / <root, root> root."""
+    a = root.coords
+    norm = sum(c * c for c in a)
+    n = len(a)
+    return tuple(
+        tuple(_exact(int(i == j) - 2 * a[i] * a[j] / norm) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _inversions(matrix, positive_roots) -> int:
+    """How many of the given positive roots the matrix sends outside them."""
+    positive = {tuple(_exact(c) for c in r.coords) for r in positive_roots}
+    return sum(
+        1
+        for r in positive
+        if tuple(sum(x * y for x, y in zip(row, r)) for row in matrix) not in positive
+    )
+
+
+def integral_positive_roots(kappa, positive_roots) -> tuple:
+    """The given positive roots alpha with 2 <kappa, alpha> / <alpha, alpha> in Z."""
+
+    def pairing(a):
+        dot = sum(x * y for x, y in zip(kappa.coords, a.coords))
+        return Fraction(2) * dot / sum(x * x for x in a.coords)
+
+    return tuple(a for a in positive_roots if pairing(a).denominator == 1)
+
+
+def reflection_closure(positive_roots, ambient: int) -> tuple[WeylElement, ...]:
+    """The group generated by the reflections in every given positive root.
+
+    Lengths count the positive roots each element sends outside the given
+    ones; elements are sorted by (length, matrix).
+    """
+    identity = tuple(tuple(int(i == j) for j in range(ambient)) for i in range(ambient))
+    reflections = [_reflection(a) for a in positive_roots]
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        found = []
+        for m in frontier:
+            for s in reflections:
+                prod = _mat_mul(s, m)
+                if prod not in seen:
+                    seen.add(prod)
+                    found.append(prod)
+        frontier = found
+    elements = [
+        WeylElement(matrix=m, length=_inversions(m, positive_roots)) for m in seen
+    ]
+    return tuple(sorted(elements, key=lambda w: (w.length, w.matrix)))
+
+
 def _right_multiply(rs, w: WeylElement, simple_matrix) -> WeylElement:
     prod = _mat_mul(w.matrix, simple_matrix)
-    return WeylElement(matrix=prod, length=length_of(prod, rs.positive_roots))
+    return WeylElement(matrix=prod, length=_inversions(prod, rs.positive_roots))
 
 
 def reduced_words(rs, group) -> dict[WeylElement, list[int]]:
     """One reduced word (a list of simple-root indices) per group element."""
-    simples = [reflection_matrix(a) for a in rs.simple_roots]
+    simples = [_reflection(a) for a in rs.simple_roots]
     identity = min(group, key=lambda w: w.length)
     assert identity.length == 0
     words: dict[WeylElement, list[int]] = {identity: []}
@@ -133,7 +199,7 @@ def bruhat_lower_intervals(rs, group) -> dict[WeylElement, frozenset[WeylElement
     and without a final s_i: the interval of ws is the interval of w
     together with its right translate by s_i.
     """
-    simples = [reflection_matrix(a) for a in rs.simple_roots]
+    simples = [_reflection(a) for a in rs.simple_roots]
     by_matrix = {w.matrix: w for w in group}
     words = reduced_words(rs, group)
     intervals: dict[WeylElement, frozenset[WeylElement]] = {}

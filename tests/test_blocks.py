@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,8 @@ from ghcseries import (
 from ghcseries import rootsys
 from ghcseries.blocks import MAX_IWASAWA_A
 from ghcseries.charseries import ModuleDatumE
+from oracles import integral_positive_roots, reflection_closure
+from test_rootsys import ORDER_SPECS, _label
 
 
 def _sp4_block():
@@ -115,12 +119,35 @@ def test_integral_subgroups_are_memoized_fresh_closures(spec, kappas, monkeypatc
         for element in matrix.elements:
             key = -(element.nu + p.rho_tilde_adapted)
             group = integral_weyl_subgroup(key, rs, p.adapted_positive_roots)
-            positives = group.positive_roots
             assert group.elements == rootsys.generate_group(
-                positives, positives, rs.ambient
-            )
+                group.simple_roots, rs.ambient
+            )[0]
             again = integral_weyl_subgroup(key, rs, p.adapted_positive_roots)
             assert again.elements is group.elements
+            assert group.elements == _oracle_subgroup(key, p.adapted_positive_roots)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_closure(positives, ambient):
+    return reflection_closure(positives, ambient)
+
+
+def _oracle_subgroup(kappa, positive_roots):
+    positives = integral_positive_roots(kappa, positive_roots)
+    return _oracle_closure(positives, len(kappa.coords))
+
+
+@pytest.mark.parametrize("spec", ORDER_SPECS, ids=_label)
+def test_integral_subgroups_match_the_oracle_on_random_kappas(spec):
+    rs = build_root_system(spec)
+    p = minimal_parabolic(from_principal(rs))
+    rng = random.Random(_label(spec))
+    for _ in range(10):
+        kappa = Weight.of(
+            *(Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(rs.ambient))
+        )
+        group = integral_weyl_subgroup(kappa, rs, p.adapted_positive_roots)
+        assert group.elements == _oracle_subgroup(kappa, p.adapted_positive_roots), kappa
 
 
 def test_multiplicity_matrix_rank_one_anchor():

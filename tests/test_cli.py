@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghcseries import FIXTURES, ModuleDatumE, charseries, get_fixture, rootsys, t_character_N
+from ghcseries import (
+    FIXTURES,
+    ModuleDatumE,
+    charseries,
+    get_fixture,
+    rootsys,
+    sl2embed,
+    t_character_N,
+)
 from ghcseries.blocks import MAX_IWASAWA_A
 from ghcseries.charseries import MAX_CUTOFF
 from ghcseries.cli import main
@@ -201,6 +209,25 @@ def test_virtual_character_builds_one_partition_list(capsys, monkeypatch):
     assert doc["t_character_N"]["mults"] == character_pairs(
         t_character_N(p, datum, 10).mults
     )
+
+
+def test_analyze_peels_the_adjoint_character_once(capsys, monkeypatch):
+    calls = {}
+    for name in ("t_character_of_g", "sl2_decomposition"):
+        fn = getattr(sl2embed, name)
+        calls[name] = 0
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("ghcseries.") and getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    assert main(["analyze", "--fixture", "sp4-principal"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert calls == {"t_character_of_g": 1, "sl2_decomposition": 1}
+    assert doc["algebra"]["adjoint_k_types"] == [[2, 1], [6, 1]]
 
 
 def test_cutoff_environment_override(capsys, monkeypatch):

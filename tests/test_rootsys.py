@@ -21,7 +21,7 @@ from ghcseries import (
     weyl_group,
 )
 from ghcseries import rootsys
-from oracles import bruhat_lower_intervals
+from oracles import bruhat_lower_intervals, reflection_closure
 
 SUPPORTED_SINGLE = [
     (("A", 1), 2, 2),
@@ -75,13 +75,19 @@ def _label(spec):
 
 
 def _fresh_group(rs):
-    return rootsys.generate_group(rs.simple_roots, rs.positive_roots, rs.ambient)
+    return rootsys.generate_group(rs.simple_roots, rs.ambient)[0]
 
 
 @pytest.mark.parametrize("spec", ORDER_SPECS, ids=_label)
 def test_weyl_order_formula_matches_the_closure(spec):
     rs = build_root_system(spec)
     assert rs.weyl_order == len(_fresh_group(rs))
+
+
+@pytest.mark.parametrize("spec", ORDER_SPECS, ids=_label)
+def test_weyl_group_matches_the_all_reflections_oracle(spec):
+    rs = build_root_system(spec)
+    assert weyl_group(rs) == reflection_closure(rs.positive_roots, rs.ambient)
 
 
 def test_weyl_group_is_built_once_per_root_system(monkeypatch):
