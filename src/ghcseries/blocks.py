@@ -7,9 +7,10 @@ For a Cartan Levi, regular central character and total rank at most 2
 the composition multiplicities of the produced modules reduce to the
 Bruhat order of the integral Weyl subgroup, every Kazhdan-Lusztig
 polynomial of a dihedral group being 1; socle k-characters follow by
-inverting the matrix.  The Bruhat order itself (rootsys.bruhat_leq_over)
-works at any rank; above total rank 2 the Kazhdan-Lusztig corrections
-are not computed, so the matrix is refused there with UnsupportedRank.
+inverting the matrix.  The Bruhat order itself (rootsys.bruhat_leq_over,
+read in the shared WeylGroup of a linkage class) works at any rank; above
+total rank 2 the Kazhdan-Lusztig corrections are not computed, so the
+matrix is refused there with UnsupportedRank.
 """
 
 from __future__ import annotations
@@ -38,11 +39,12 @@ from .rootsys import (
     RootSystem,
     Weight,
     WeylElement,
-    _memo_group,
+    WeylGroup,
     bruhat_leq_over,
     coroot_pairing,
     inner_product,
     project_trace_zero,
+    reflection_group,
     weyl_group,
 )
 from .sl2embed import KCharacter, is_regular
@@ -159,37 +161,18 @@ def enumerate_block(
     return tuple(elements)
 
 
-@dataclass(frozen=True)
-class IntegralWeylGroup:
-    """Reflection subgroup of the roots pairing integrally with a weight."""
-
-    roots: tuple[Weight, ...]
-    positive_roots: tuple[Weight, ...]
-    simple_roots: tuple[Weight, ...]
-    elements: tuple[WeylElement, ...]
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def bruhat_leq(self, x: WeylElement, y: WeylElement) -> bool:
-        # The identity, first in the group, has the ambient size.
-        return bruhat_leq_over(x, y, self.simple_roots, len(self.elements[0].matrix))
-
-
 def integral_weyl_subgroup(
     kappa: Weight, rs: RootSystem, positive_roots=None
-) -> IntegralWeylGroup:
+) -> WeylGroup:
     """Group generated by reflections in the kappa-integral roots.
 
     The positive system is inherited from the given one (default: the
     standard lexicographic system).  Its simple roots, the positive integral
     roots that are not a sum of two others (Humphreys, Introduction to Lie
     Algebras, 10.1), generate the group; lengths count the positive roots
-    sent to negative ones.  The elements are built once per process for
-    each simple system and shared, like weyl_group's.
+    sent to negative ones.  The group is the shared WeylGroup that
+    rootsys.reflection_group keeps for that simple system, as weyl_group's
+    is for the full one.
     """
     base = rs.positive_roots if positive_roots is None else tuple(positive_roots)
     integral = tuple(
@@ -205,12 +188,10 @@ def integral_weyl_subgroup(
         )
     sums = {(a + b).coords for a, b in combinations(positives, 2)}
     simples = tuple(alpha for alpha in positives if alpha.coords not in sums)
-    elements = _memo_group(simples, rs.ambient)[0]
-    if elements[-1].length != len(positives):
+    group = reflection_group(simples, rs.ambient)
+    if group[-1].length != len(positives):
         raise InternalInconsistency("longest length is not the integral root count")
-    return IntegralWeylGroup(
-        roots=integral, positive_roots=positives, simple_roots=simples, elements=elements
-    )
+    return group
 
 
 @dataclass(frozen=True)
@@ -228,23 +209,24 @@ class MultiplicityMatrix:
     integral_group_order: int
 
 
-@dataclass(frozen=True)
-class _LinkageClass:
-    index: int
-    group: IntegralWeylGroup
-    orbit: frozenset
-    antidominant: Weight
+def _antidominant_point(point: Weight, group: WeylGroup) -> Weight:
+    """The one point of point's regular orbit that pairs negatively with
+    every simple root of group.
 
-
-def _antidominant_point(orbit, group: IntegralWeylGroup) -> Weight:
-    found = []
-    for coords in sorted(orbit):
-        point = Weight(coords)
-        pairings = [coroot_pairing(point, a) for a in group.positive_roots]
-        if any(v == 0 for v in pairings):
-            raise InternalInconsistency("regular orbit produced a zero pairing")
-        if all(v < 0 for v in pairings):
-            found.append(point)
+    The orbit is regular iff it has |group| points: the stabilizer of a
+    point is generated by the reflections it contains (Steinberg; Humphreys,
+    Reflection Groups and Coxeter Groups, 1.12), so a smaller orbit means a
+    zero pairing with a root.  For a regular point, negative pairings with
+    the simple roots mean negative pairings with every positive root.
+    """
+    orbit = {x.apply(point).coords for x in group}
+    if len(orbit) != len(group):
+        raise InternalInconsistency("regular orbit produced a zero pairing")
+    found = [
+        candidate
+        for candidate in map(Weight, orbit)
+        if all(coroot_pairing(candidate, a) < 0 for a in group.simple_roots)
+    ]
     if len(found) != 1:
         raise InternalInconsistency(
             f"expected one antidominant orbit point, found {len(found)}"
@@ -280,35 +262,28 @@ def multiplicity_matrix(
     elements = enumerate_block(kappa, p)
     keys = [-(e.nu + p.rho_tilde_adapted) for e in elements]
 
-    classes: list[_LinkageClass] = []
+    # One dict per linkage class: each point of the class -> the element of
+    # the class's integral group that places the antidominant point there.
+    classes: list[tuple[WeylGroup, dict[tuple, WeylElement]]] = []
     orbit_ids = []
-    for key in keys:
-        assigned = None
-        for cls in classes:
-            if key.coords in cls.orbit:
-                assigned = cls
-                break
-        if assigned is None:
-            group = integral_weyl_subgroup(key, rs, p.adapted_positive_roots)
-            orbit = frozenset(x.apply(key).coords for x in group)
-            assigned = _LinkageClass(
-                index=len(classes),
-                group=group,
-                orbit=orbit,
-                antidominant=_antidominant_point(orbit, group),
-            )
-            classes.append(assigned)
-        orbit_ids.append(assigned.index)
-
     placements = []
-    for key, cid in zip(keys, orbit_ids):
-        cls = classes[cid]
-        hits = [x for x in cls.group if x.apply(cls.antidominant) == key]
-        if len(hits) != 1:
-            raise InternalInconsistency(
-                f"expected a unique placement in the integral group, got {len(hits)}"
-            )
-        placements.append(hits[0])
+    for key in keys:
+        cid = next(
+            (c for c, (_, placed) in enumerate(classes) if key.coords in placed), None
+        )
+        if cid is None:
+            group = integral_weyl_subgroup(key, rs, p.adapted_positive_roots)
+            antidominant = _antidominant_point(key, group)
+            placed = {x.apply(antidominant).coords: x for x in group}
+            if len(placed) != len(group):
+                raise InternalInconsistency(
+                    "expected a unique placement in the integral group, got "
+                    f"{len(group) // len(placed)}"
+                )
+            cid = len(classes)
+            classes.append((group, placed))
+        orbit_ids.append(cid)
+        placements.append(classes[cid][1][key.coords])
 
     n = len(elements)
     m_rows = []
@@ -319,7 +294,9 @@ def multiplicity_matrix(
             row.append(
                 1
                 if same
-                and classes[orbit_ids[i]].group.bruhat_leq(placements[j], placements[i])
+                and bruhat_leq_over(
+                    placements[j], placements[i], classes[orbit_ids[i]][0]
+                )
                 else 0
             )
         m_rows.append(row)
@@ -347,7 +324,7 @@ def multiplicity_matrix(
         m_matrix=tuple(tuple(row) for row in m_rows),
         p_matrix=tuple(tuple(row) for row in p_rows),
         orbit_ids=tuple(orbit_ids),
-        integral_group_order=len(classes[0].group) if classes else 1,
+        integral_group_order=len(classes[0][0]) if classes else 1,
     )
 
 

@@ -284,14 +284,6 @@ class WeylElement:
             )
         )
 
-    def is_identity(self) -> bool:
-        n = len(self.matrix)
-        return all(
-            self.matrix[i][j] == (1 if i == j else 0)
-            for i in range(n)
-            for j in range(n)
-        )
-
 
 def reflection_matrix(alpha: Weight) -> tuple[tuple[Fraction, ...], ...]:
     """Matrix of s_alpha: v -> v - <v, alpha^vee> alpha."""
@@ -319,17 +311,37 @@ def _mat_mul(a, b):
     )
 
 
-def generate_group(
-    generators: Sequence[Weight], ambient: int
-) -> tuple[tuple[WeylElement, ...], dict, tuple[tuple[int, ...], ...]]:
+@dataclass(frozen=True, eq=False)
+class WeylGroup:
+    """A reflection group numbered once, with its Bruhat table.
+
+    elements are sorted by (length, matrix); index maps each matrix to its
+    position there, and left[k][i] is the position of s_k times element i,
+    s_k the reflection in simple_roots[k].  Groups are shared and compared
+    by identity.
+    """
+
+    simple_roots: tuple[Weight, ...]
+    elements: tuple[WeylElement, ...]
+    index: dict
+    left: tuple[tuple[int, ...], ...]
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __getitem__(self, i):
+        return self.elements[i]
+
+
+def generate_group(generators: Sequence[Weight], ambient: int) -> WeylGroup:
     """The group of a simple system, its lengths and table in one closure pass.
 
     A breadth-first closure from the identity left-multiplies by the
     reflections in the simple roots `generators`; an element's depth is its
     length (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7).
-    Returns the elements sorted by (length, matrix), the index of each
-    matrix in that order, and the products as the table left[k][i]: the
-    index of s_k times element i.
     """
     gen_mats = [reflection_matrix(a) for a in generators]
     ident = tuple(
@@ -353,53 +365,53 @@ def generate_group(
     order = sorted(range(len(mats)), key=lambda k: (depth[k], mats[k]))
     position = {k: i for i, k in enumerate(order)}
     elements = tuple(WeylElement(matrix=mats[k], length=depth[k]) for k in order)
-    index = {w.matrix: i for i, w in enumerate(elements)}
-    left = tuple(tuple(position[row[k]] for k in order) for row in products)
-    return elements, index, left
+    return WeylGroup(
+        simple_roots=tuple(generators),
+        elements=elements,
+        index={w.matrix: i for i, w in enumerate(elements)},
+        left=tuple(tuple(position[row[k]] for k in order) for row in products),
+    )
 
 
 # Groups built so far in this process, keyed by the arguments of
-# generate_group, with its whole result.  Total rank is capped at
-# MAX_TOTAL_RANK, so the keys are finite and nothing is ever evicted.
-_GROUPS: dict[tuple, tuple[tuple[WeylElement, ...], dict, tuple]] = {}
+# generate_group.  Total rank is capped at MAX_TOTAL_RANK, so the keys are
+# finite and nothing is ever evicted.
+_GROUPS: dict[tuple, WeylGroup] = {}
 
 
-def _memo_group(generators: Sequence[Weight], ambient: int):
-    """generate_group, run at most once per process for each argument pair."""
-    key = (tuple(generators), ambient)
+def reflection_group(simple_roots: Sequence[Weight], ambient: int) -> WeylGroup:
+    """generate_group, run at most once per process for each simple system.
+
+    Every caller gets the same WeylGroup; treat it and its elements as
+    immutable.
+    """
+    key = (tuple(simple_roots), ambient)
     group = _GROUPS.get(key)
     if group is None:
         group = _GROUPS[key] = generate_group(*key)
     return group
 
 
-def weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
-    """The full Weyl group, enumerated by closure under simple reflections.
-
-    The group is built once per process for each root system and the same
-    tuple is returned to every caller; treat it and its elements as
-    immutable.
-    """
-    group = _memo_group(rs.simple_roots, rs.ambient)[0]
+def weyl_group(rs: RootSystem) -> WeylGroup:
+    """The full Weyl group of rs, shared by every caller (see reflection_group)."""
+    group = reflection_group(rs.simple_roots, rs.ambient)
     if group[-1].length != len(rs.positive_roots):
         raise InternalInconsistency("longest length is not the positive root count")
     return group
 
 
-def bruhat_leq_over(
-    x: WeylElement, y: WeylElement, generators: Sequence[Weight], ambient: int
-) -> bool:
-    """Bruhat order in the group generate_group builds from the simple roots given.
+def bruhat_leq_over(x: WeylElement, y: WeylElement, group: WeylGroup) -> bool:
+    """Bruhat order in a WeylGroup, at any rank.
 
     Uses the lifting property (Bjorner-Brenti, Combinatorics of Coxeter
     Groups, ch. 2): for a simple s with sy < y, x <= y iff min(x, sx) <= sy.
-    The loop takes at most l(y) steps of lookups in the left-multiplication
-    table, which is built in the same closure pass as the group, and works
-    at any rank.  An element outside the group raises GroupMismatch.
+    The loop takes at most l(y) steps of lookups in the group's
+    left-multiplication table.  An element outside the group raises
+    GroupMismatch.
     """
-    elements, index, left = _memo_group(generators, ambient)
+    elements, left = group.elements, group.left
     try:
-        i, j = index[x.matrix], index[y.matrix]
+        i, j = group.index[x.matrix], group.index[y.matrix]
     except KeyError:
         raise GroupMismatch("element does not belong to the group") from None
     while elements[i].length < elements[j].length:
@@ -413,12 +425,7 @@ def bruhat_leq_over(
 
 def bruhat_leq(x: WeylElement, y: WeylElement, rs: RootSystem) -> bool:
     """Bruhat order on the full Weyl group of rs, at any rank."""
-    return bruhat_leq_over(x, y, rs.simple_roots, rs.ambient)
-
-
-def dot_orbit(kappa: Weight, rs: RootSystem) -> list[tuple[WeylElement, Weight]]:
-    """All pairs (w, w(kappa)) over the Weyl group, in group order."""
-    return [(w, w.apply(kappa)) for w in weyl_group(rs)]
+    return bruhat_leq_over(x, y, weyl_group(rs))
 
 
 def project_trace_zero(w: Weight, rs: RootSystem) -> Weight:

@@ -4,9 +4,11 @@ Each oracle recomputes a quantity from its definition with no shared code
 paths: the Euler characteristic as an alternating Hom-space sum over the
 two-step relative Koszul complex, vector partitions by direct enumeration,
 Bruhat order by the subword property, Weyl groups as the closure under
-every positive reflection with inversion-count lengths, exterior-power
-weights from itertools.combinations, and first-page dimensions from those
-weights and the n_k-cohomology windows written out by hand.  Nothing is
+every positive reflection with inversion-count lengths, block multiplicity
+matrices from those two with every placement found by a full scan,
+exterior-power weights from itertools.combinations, and first-page
+dimensions from those weights and the n_k-cohomology windows written out
+by hand.  Nothing is
 imported from the library but its error classes and the WeylElement
 record the group oracles return.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from types import SimpleNamespace
 
 from ghcseries.errors import (
     IndexOutOfRange,
@@ -214,3 +217,58 @@ def bruhat_lower_intervals(rs, group) -> dict[WeylElement, frozenset[WeylElement
             by_matrix[_mat_mul(u.matrix, simples[word[-1]])] for u in below
         }
     return intervals
+
+
+def _act(matrix, coords) -> tuple:
+    return tuple(sum(x * c for x, c in zip(row, coords)) for row in matrix)
+
+
+def brute_multiplicity_matrix(elements, p) -> tuple[tuple[tuple[int, ...], ...], tuple]:
+    """The 0/1 multiplicity matrix and linkage-class ids of a regular block.
+
+    Each block element's key is -(nu + rho_tilde_adapted).  Its integral
+    group is the closure under the reflections in its integral positive
+    roots; the antidominant point is the orbit point pairing negatively
+    with every one of those roots, and the placement is the group element
+    sending that point to the key, each found by scanning the whole orbit
+    or group.  Classes are numbered by first appearance of their orbit, and
+    m(E, D) = 1 iff D is in E's class and D's placement lies in the lower
+    Bruhat interval of E's, read off the subword property in the integral
+    group with its own simple roots (the positives that are not a sum of
+    two others).
+    """
+    shift = p.rho_tilde_adapted.coords
+    ambient = len(shift)
+    found = []
+    for e in elements:
+        key = tuple(-(a + b) for a, b in zip(e.nu.coords, shift))
+        positives = integral_positive_roots(
+            SimpleNamespace(coords=key), p.adapted_positive_roots
+        )
+        sums = {
+            tuple(x + y for x, y in zip(a.coords, b.coords))
+            for a, b in combinations(positives, 2)
+        }
+        simples = tuple(a for a in positives if a.coords not in sums)
+        group = reflection_closure(positives, ambient)
+        orbit = frozenset(_act(w.matrix, key) for w in group)
+        antidominant = [
+            point
+            for point in orbit
+            if all(sum(x * y for x, y in zip(point, a.coords)) < 0 for a in positives)
+        ]
+        assert len(antidominant) == 1, antidominant
+        placement = [w for w in group if _act(w.matrix, antidominant[0]) == key]
+        assert len(placement) == 1, placement
+        integral = SimpleNamespace(simple_roots=simples, positive_roots=positives)
+        found.append((orbit, placement[0], bruhat_lower_intervals(integral, group)))
+    orbits = list(dict.fromkeys(orbit for orbit, _, _ in found))
+    orbit_ids = tuple(orbits.index(orbit) for orbit, _, _ in found)
+    m_matrix = tuple(
+        tuple(
+            int(orbit_e == orbit_d and x_d in below_e[x_e])
+            for orbit_d, x_d, _ in found
+        )
+        for orbit_e, x_e, below_e in found
+    )
+    return m_matrix, orbit_ids

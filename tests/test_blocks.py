@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ghcseries import (
+    InternalInconsistency,
     InvalidInput,
     OutOfRegime,
     SingularBlockUnsupported,
@@ -19,6 +20,7 @@ from ghcseries import (
     enumerate_block,
     f1_k_character,
     from_principal,
+    from_root,
     get_fixture,
     integral_weyl_subgroup,
     iwasawa_sl3_support,
@@ -26,11 +28,18 @@ from ghcseries import (
     multiplicity_matrix,
     reconstructibility_report,
     socle_k_character,
+    weyl_group,
 )
 from ghcseries import rootsys
-from ghcseries.blocks import MAX_IWASAWA_A
+from ghcseries import blocks
+from ghcseries.blocks import MAX_IWASAWA_A, _antidominant_point
 from ghcseries.charseries import ModuleDatumE
-from oracles import integral_positive_roots, reflection_closure
+from ghcseries.fixtures import parse_algebra
+from oracles import (
+    brute_multiplicity_matrix,
+    integral_positive_roots,
+    reflection_closure,
+)
 from test_rootsys import ORDER_SPECS, _label
 
 
@@ -66,11 +75,9 @@ def test_central_character_canonicalizes_trace():
 
 def test_central_character_representative_is_orbit_invariant():
     rs = build_root_system((("C", 2),))
-    from ghcseries.rootsys import dot_orbit
-
     kappa = Weight.of(Fraction(3, 2), Fraction(1, 2))
     base = central_character_from_kappa(kappa, rs).representative
-    for _, point in dot_orbit(kappa, rs):
+    for point in [w.apply(kappa) for w in weyl_group(rs)]:
         assert central_character_from_kappa(point, rs).representative == base
 
 
@@ -121,9 +128,9 @@ def test_integral_subgroups_are_memoized_fresh_closures(spec, kappas, monkeypatc
             group = integral_weyl_subgroup(key, rs, p.adapted_positive_roots)
             assert group.elements == rootsys.generate_group(
                 group.simple_roots, rs.ambient
-            )[0]
+            ).elements
             again = integral_weyl_subgroup(key, rs, p.adapted_positive_roots)
-            assert again.elements is group.elements
+            assert again is group
             assert group.elements == _oracle_subgroup(key, p.adapted_positive_roots)
 
 
@@ -149,6 +156,94 @@ def test_integral_subgroups_match_the_oracle_on_random_kappas(spec):
         group = integral_weyl_subgroup(kappa, rs, p.adapted_positive_roots)
         assert group.elements == _oracle_subgroup(kappa, p.adapted_positive_roots), kappa
 
+
+
+class _CountingMemo(dict):
+    """A group memo that counts its lookups."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("spec,kappas", LINKAGE_CASES)
+def test_matrix_reads_the_group_memo_once_per_linkage_class(spec, kappas, monkeypatch):
+    memo = _CountingMemo()
+    monkeypatch.setattr(rootsys, "_GROUPS", memo)
+    compare = blocks.bruhat_leq_over
+    comparisons = [0]
+
+    def no_lookup(*args):
+        before = memo.reads
+        result = compare(*args)
+        assert memo.reads == before
+        comparisons[0] += 1
+        return result
+
+    monkeypatch.setattr(blocks, "bruhat_leq_over", no_lookup)
+    rs = build_root_system((spec,))
+    p = minimal_parabolic(from_principal(rs))
+    for text in kappas:
+        kappa = central_character_from_kappa(
+            Weight.of(*(Fraction(c) for c in text.split(","))), rs
+        )
+        before = memo.reads
+        matrix = multiplicity_matrix(kappa, p)
+        # One more read: the full group that enumerate_block walks.
+        assert memo.reads - before == len(set(matrix.orbit_ids)) + 1, text
+    assert comparisons[0] > 0
+
+
+def test_antidominant_point_refuses_a_singular_orbit():
+    rs = build_root_system((("C", 2),))
+    kappa = Weight.of(1, 1)
+    group = integral_weyl_subgroup(kappa, rs)
+    with pytest.raises(InternalInconsistency, match="regular orbit produced a zero pairing"):
+        _antidominant_point(kappa, group)
+
+
+RANK2_ALGEBRAS = ["A1", "B1", "C1", "A1+A1", "D2", "A2", "B2", "C2", "G2"]
+
+
+def _cartan_levi_pairs(rs):
+    """The principal and root pairs of rs whose Levi is the Cartan subalgebra."""
+    embeddings = [from_principal(rs)] + [from_root(rs, a) for a in rs.positive_roots]
+    pairs = [minimal_parabolic(embedding) for embedding in embeddings]
+    return [p for p in pairs if not p.m_roots]
+
+
+def _regular_kappas(rs, rng, denominator, count):
+    found = []
+    while len(found) < count:
+        kappa = Weight.of(
+            *(Fraction(rng.randint(-8, 8), denominator) for _ in range(rs.ambient))
+        )
+        central = central_character_from_kappa(kappa, rs)
+        if central.regular:
+            found.append(central)
+    return found
+
+
+@pytest.mark.parametrize("algebra", RANK2_ALGEBRAS)
+def test_multiplicity_matrix_matches_the_brute_oracle(algebra):
+    rs = build_root_system(parse_algebra(algebra))
+    rng = random.Random(f"matrix-{algebra}")
+    pairs = _cartan_levi_pairs(rs)
+    assert pairs
+    for p in pairs:
+        for denominator in (1, 2, 3):
+            for kappa in _regular_kappas(rs, rng, denominator, 3):
+                matrix = multiplicity_matrix(kappa, p)
+                expected = brute_multiplicity_matrix(matrix.elements, p)
+                assert (matrix.m_matrix, matrix.orbit_ids) == expected, kappa
 
 def test_multiplicity_matrix_rank_one_anchor():
     rs = build_root_system((("A", 1),))
