@@ -6,7 +6,8 @@ is again a weight multiset.  On top of that the first page of the
 n-cohomology spectral sequence and the mu-regimes in which its top
 degree collapses are computed.  Those two read the cohomology straight
 off the k-character's map, in the trusted windows nk_cohomology gives
-its two degrees, instead of building the degree characters.
+its two degrees, instead of building the degree characters, and read
+the exterior powers of n-perp from one table per weight multiset.
 """
 
 from __future__ import annotations
@@ -42,21 +43,38 @@ def nk_cohomology(M: KCharacter) -> tuple[TruncatedTCharacter, TruncatedTCharact
     )
 
 
+def _exterior_powers(weights) -> tuple[dict[int, int], ...]:
+    """exterior_weights for every degree 0..len(weights), in one pass.
+
+    Degree j is only ever written from degree j - 1, so each layer, in
+    its dict order too, is what a pass stopped at j would give.
+    """
+    top = len(weights)
+    layers: list[dict[int, int]] = [{} for _ in range(top + 1)]
+    layers[0] = {0: 1}
+    for w in weights:
+        for deg in range(top, 0, -1):
+            for wt, c in layers[deg - 1].items():
+                layers[deg][wt + w] = layers[deg].get(wt + w, 0) + c
+    return tuple(layers)
+
+
 def exterior_weights(weights, j: int) -> dict[int, int]:
     """Weight multiplicities of the j-th exterior power of a sum of lines.
 
     Coefficient of q^j in the product of (1 + q x^w) over the multiset,
-    each line its own factor.
+    each line its own factor; a fresh dict on every call.
     """
-    if j < 0:
+    weights = tuple(weights)
+    if j < 0 or j > len(weights):
         return {}
-    layers: list[dict[int, int]] = [{} for _ in range(j + 1)]
-    layers[0] = {0: 1}
-    for w in weights:
-        for deg in range(j, 0, -1):
-            for wt, c in layers[deg - 1].items():
-                layers[deg][wt + w] = layers[deg].get(wt + w, 0) + c
-    return layers[j]
+    return _exterior_powers(weights)[j]
+
+
+# Exterior powers of each n-perp weight multiset seen so far in this
+# process.  Total rank is capped at MAX_TOTAL_RANK = 4 and every n-weight
+# is bounded by dim g, so the keys are finite and nothing is ever evicted.
+_PERP_POWERS: dict[tuple[int, ...], tuple[dict[int, int], ...]] = {}
 
 
 def e1_page_dimension(
@@ -69,20 +87,24 @@ def e1_page_dimension(
     exterior weights are negated sub-multiset sums, so H-lookups happen
     at kappa plus the positive sums.  H0 at x is M's multiplicity at x,
     H1 at y is M's at -y-2, each checked against its nk_cohomology
-    window, so no degree character is built.
+    window, so no degree character is built.  Both exterior powers come
+    from _PERP_POWERS, built on the first lookup for the perp multiset.
     """
     r = p.r
     if j < 0 or j > r + 1:
         raise IndexOutOfRange(f"degree {j} outside [0, {r + 1}]")
     window0, window1 = _cohomology_windows(M)
     perp = p.n_perp_weights()
+    powers = _PERP_POWERS.get(perp)
+    if powers is None:
+        powers = _PERP_POWERS[perp] = _exterior_powers(perp)
     mults = M.mults
     total = 0
-    for wt, c in exterior_weights(perp, j).items():
+    for wt, c in (powers[j] if j <= len(perp) else {}).items():
         x = kappa + wt
         _check_window(x, window0)
         total += c * mults.get(x, 0)
-    for wt, c in exterior_weights(perp, j - 1).items():
+    for wt, c in (powers[j - 1] if j >= 1 else {}).items():
         y = kappa + wt
         _check_window(y, window1)
         total += c * mults.get(-y - 2, 0)

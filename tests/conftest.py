@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ghcseries import FIXTURES, get_fixture, rootsys
+from ghcseries import FIXTURES, cohomology, get_fixture, rootsys
 
 settings.register_profile(
     "exact",
@@ -38,4 +38,24 @@ def closures(monkeypatch):
 
     monkeypatch.setattr(rootsys, "_GROUPS", {})
     monkeypatch.setattr(rootsys, "generate_group", counted)
+    return count
+
+
+@pytest.fixture
+def perp_powers(monkeypatch):
+    """Count _exterior_powers runs and exterior_weights calls, from an empty table."""
+    count = {"built": 0, "exterior_weights": 0}
+    build, public = cohomology._exterior_powers, cohomology.exterior_weights
+
+    def counted_build(*args):
+        count["built"] += 1
+        return build(*args)
+
+    def counted_public(*args):
+        count["exterior_weights"] += 1
+        return public(*args)
+
+    monkeypatch.setattr(cohomology, "_PERP_POWERS", {})
+    monkeypatch.setattr(cohomology, "_exterior_powers", counted_build)
+    monkeypatch.setattr(cohomology, "exterior_weights", counted_public)
     return count

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from ghcseries import (
     VirtualNotAllowed,
     WindowTooNarrow,
     build_root_system,
+    cohomology,
     e1_page_dimension,
     exterior_weights,
     f1_k_character,
@@ -175,6 +177,46 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _colex_first_sums(weights, j):
+    """Distinct j-subset sums in the order they first arise, subsets in colex order."""
+    subsets = sorted(combinations(range(len(weights)), j), key=lambda c: c[::-1])
+    return list(dict.fromkeys(sum(weights[i] for i in c) for c in subsets))
+
+
+def _assert_layers_match_enumeration(weights):
+    powers = cohomology._exterior_powers(weights)
+    assert len(powers) == len(weights) + 1
+    for j in range(-1, len(weights) + 2):
+        expected = brute_exterior_weights(weights, j) if j >= 0 else {}
+        assert exterior_weights(weights, j) == expected
+        if 0 <= j <= len(weights):
+            assert powers[j] == expected
+            assert list(powers[j]) == _colex_first_sums(weights, j)
+
+
+@pytest.mark.parametrize("pair", E1_PAIRS, ids=_pair_id)
+def test_exterior_powers_of_each_perp_match_enumeration(pair):
+    _assert_layers_match_enumeration(_parabolic(pair).n_perp_weights())
+
+
+@given(st.lists(st.integers(-5, 9), max_size=7))
+def test_exterior_powers_match_enumeration(weights):
+    _assert_layers_match_enumeration(tuple(weights))
+
+
+def test_exterior_weights_returns_a_fresh_dict():
+    p = _parabolic(("C4", "principal"))
+    perp = p.n_perp_weights()
+    m = f1_k_character(p, ModuleDatumE(omega=5 - p.two_rho_n_perp), 120)
+    page = e1_page_dimension(m, p, 3, 5)
+    first = exterior_weights(perp, 3)
+    expected = dict(first)
+    first.clear()
+    first[-1] = 7
+    assert exterior_weights(perp, 3) == expected
+    assert e1_page_dimension(m, p, 3, 5) == page
+
+
 @st.composite
 def k_characters(draw):
     """Genuine or (one time in four) virtual k-characters, complete or cut off."""
@@ -237,6 +279,26 @@ def test_e1_window_builds_no_characters(monkeypatch):
     assert built == []
     nk_cohomology(m)
     assert built == [TruncatedTCharacter, TruncatedTCharacter]
+
+
+def test_e1_windows_share_one_table_per_perp_multiset(perp_powers):
+    def window(p):
+        m = f1_k_character(p, ModuleDatumE(omega=5 - p.two_rho_n_perp), 400)
+        for kappa in range(1, 9):
+            for j in range(p.r + 2):
+                e1_page_dimension(m, p, j, kappa)
+            top_n_vanishing(m, p, kappa)
+
+    c4 = _parabolic(("C4", "principal"))
+    window(c4)
+    assert perp_powers == {"built": 1, "exterior_weights": 0}
+    window(c4)
+    assert perp_powers == {"built": 1, "exterior_weights": 0}
+    b4 = _parabolic(("B4", "principal"))
+    assert b4.n_perp_weights() == c4.n_perp_weights()
+    window(b4)
+    assert perp_powers == {"built": 1, "exterior_weights": 0}
+    assert list(cohomology._PERP_POWERS) == [c4.n_perp_weights()]
 
 
 REGIMES = {
