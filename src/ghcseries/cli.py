@@ -8,6 +8,7 @@ an aligned table; identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -357,6 +358,12 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() on the first main() call; parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def _attach_values(argv) -> list[str]:
     """Rewrite "--kappa VALUE" and "--c VALUE" as "--kappa=VALUE" and "--c=VALUE".
 
@@ -373,8 +380,7 @@ def _attach_values(argv) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
         doc = _DISPATCH[args.command](args)
         text = render_json(doc) if args.format == "json" else render_table(doc)

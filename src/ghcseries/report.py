@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 
 def rational(x):
@@ -29,7 +30,46 @@ def character_pairs(mults: dict) -> list:
 
 
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """json.dumps(doc, indent=2) + "\n", byte for byte.
+
+    With indent set, json.dumps leaves its C encoder for a generator per
+    item; this writer makes one join per list or dict instead.
+    """
+    return _json_text(doc, "\n") + "\n"
+
+
+_int = int.__repr__
+_ONLY_INT = frozenset([int])
+
+
+def _json_text(value, pad: str) -> str:
+    """The indent=2 JSON text of value; pad is a newline plus its indent."""
+    if isinstance(value, (list, tuple)) and value:
+        inner = pad + "  "
+        if _ONLY_INT.issuperset(map(type, value)):
+            items = map(_int, value)
+        else:
+            items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, dict) and value:
+        inner = pad + "  "
+        items = [_json_key(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if type(value) is int:
+        return _int(value)
+    if type(value) is str:
+        return _encode_str(value)
+    # bool, None, float, empty containers, int and str subclasses: json's own text,
+    # and its TypeError for anything it cannot encode.
+    return json.dumps(value)
+
+
+def _json_key(key) -> str:
+    if type(key) is str:
+        return _encode_str(key)
+    # json turns an int, float, bool or None key into a string, and
+    # refuses any other: '{"<key>": 0}' minus its frame.
+    return json.dumps({key: 0})[1:-4]
 
 
 def render_table(doc: dict) -> str:

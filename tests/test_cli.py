@@ -15,6 +15,7 @@ from ghcseries import (
     FIXTURES,
     ModuleDatumE,
     charseries,
+    cli,
     get_fixture,
     rootsys,
     sl2embed,
@@ -75,6 +76,86 @@ def test_output_is_deterministic(capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """Count build_parser calls, starting from no cached parser."""
+    count = [0]
+    build = cli.build_parser
+
+    def counted():
+        count[0] += 1
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    yield count
+    cli._parser.cache_clear()
+
+
+def test_import_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "made = []\n"
+        "class Counted(argparse.ArgumentParser):\n"
+        "    def __init__(self, *args, **kwargs):\n"
+        "        made.append(kwargs.get('prog'))\n"
+        "        super().__init__(*args, **kwargs)\n"
+        "argparse.ArgumentParser = Counted\n"
+        "import ghcseries.cli\n"
+        "print(len(made))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0\n"
+
+
+def test_main_builds_the_parser_once(parser_builds, capsys):
+    assert parser_builds[0] == 0
+    for argv in (["iwasawa", "--a", "1"], ["analyze", "--fixture", "sl3-root"]) * 2:
+        assert main(argv) == 0
+    assert parser_builds[0] == 1
+
+
+def test_reused_parser_forgets_allow_virtual(parser_builds, capsys):
+    argv = ["character", "--fixture", "sp4-principal", "--mu", "-3", "--cutoff", "10"]
+    assert main(argv + ["--allow-virtual"]) == 0
+    # OutOfRegime is invalid input: exit 2, not the unsupported-regime 3.
+    assert main(argv) == 2
+    assert "OutOfRegime" in capsys.readouterr().err
+    assert parser_builds[0] == 1
+
+
+def test_reused_parser_forgets_cutoff(parser_builds, capsys, monkeypatch):
+    argv = ["character", "--fixture", "sp4-principal", "--mu", "0"]
+    monkeypatch.setenv("GHCSERIES_CUTOFF", "12")
+    assert main(argv + ["--cutoff", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["cutoff"] == 10
+    monkeypatch.setenv("GHCSERIES_CUTOFF", "14")
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["cutoff"] == 14
+    assert parser_builds[0] == 1
+
+
+def test_reused_parser_forgets_format(parser_builds, capsys):
+    argv = ["analyze", "--fixture", "sp4-principal"]
+    assert main(argv + ["--format", "table"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "analyze_sp4-principal.table.txt").read_text()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / "analyze_sp4-principal.json").read_text()
+    assert parser_builds[0] == 1
+
+
+def test_argparse_error_leaves_the_parser_reusable(parser_builds, capsys):
+    for name, argv in sorted(GOLDEN_COMMANDS.items()):
+        with pytest.raises(SystemExit) as exc:
+            main(["character", "--fixture", "sp4-principal"])
+        assert exc.value.code == 2
+        assert "--mu" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (GOLDEN / name).read_text()
+    assert parser_builds[0] == 1
 
 
 def _doc_both_ways(name, command, capsys):
