@@ -419,8 +419,6 @@ def reconstructibility_report(
     """Compare mu against every reconstruction threshold of the pair."""
     if mu < 0:
         raise InvalidInput("reconstructibility is evaluated for mu >= 0")
-    if convention not in ("n", "perp"):
-        raise InvalidInput(f"unknown lambda convention {convention!r}")
     thresholds = bounds_report(p)
     return ReconstructibilityReport(
         mu=mu,

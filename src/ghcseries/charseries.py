@@ -21,7 +21,6 @@ from .errors import (
     WindowTooNarrow,
 )
 from .parabolic import CompatibleParabolic
-from .rootsys import Weight
 from .sl2embed import KCharacter, TruncatedTCharacter
 
 
@@ -31,7 +30,6 @@ class ModuleDatumE:
 
     omega: int
     dim_e: int = 1
-    nu: Weight | None = None
 
     def __post_init__(self):
         if self.dim_e < 1:
@@ -89,11 +87,11 @@ def t_character_N(
 def euler_k_character(N: TruncatedTCharacter, cutoff: int) -> KCharacter:
     """Alternating-sum character of the derived functors, as virtual.
 
-    The coefficient of V(delta) is
-        m(delta) + m(-delta) - m(delta+2) - m(-delta-2)   for delta >= 1,
-        2 m(0) - m(2) - m(-2)                              for delta = 0,
-    which is the Euler characteristic of the two-step relative Koszul
-    complex of k over t with coefficients in N.
+    The coefficient of V(delta), delta >= 0, is
+        m(delta) + m(-delta) - m(delta+2) - m(-delta-2),
+    which reads 2 m(0) - m(2) - m(-2) at delta = 0; it is the Euler
+    characteristic of the two-step relative Koszul complex of k over t
+    with coefficients in N.
     """
     lo, hi = N.window
     if hi is not None and hi < cutoff + 2:
@@ -106,10 +104,7 @@ def euler_k_character(N: TruncatedTCharacter, cutoff: int) -> KCharacter:
         )
     mults: dict[int, int] = {}
     for delta in range(0, cutoff + 1):
-        if delta == 0:
-            c = 2 * N.mult(0) - N.mult(2) - N.mult(-2)
-        else:
-            c = N.mult(delta) + N.mult(-delta) - N.mult(delta + 2) - N.mult(-delta - 2)
+        c = N.mult(delta) + N.mult(-delta) - N.mult(delta + 2) - N.mult(-delta - 2)
         if c:
             mults[delta] = c
     return KCharacter(mults, cutoff=cutoff, virtual=True)

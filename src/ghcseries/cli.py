@@ -11,7 +11,6 @@ import argparse
 import functools
 import os
 import sys
-from fractions import Fraction
 
 from .blocks import (
     _check_kappa_length,
@@ -335,11 +334,10 @@ def cmd_socle(args) -> dict:
 
 
 def cmd_iwasawa(args) -> dict:
-    try:
-        c = Fraction(args.c)
-    except (ValueError, ZeroDivisionError):
-        raise InvalidInput(f"cannot parse rational {args.c!r}") from None
-    support = iwasawa_sl3_support(args.a, c)
+    c = parse_rationals(args.c)
+    if len(c) != 1:
+        raise InvalidInput(f"--c takes one rational, got {args.c!r}")
+    support = iwasawa_sl3_support(args.a, c[0])
     return {
         "command": "iwasawa",
         "a": support.a,

@@ -11,12 +11,19 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInput
+from .errors import InvalidInput, UnsupportedRegime
 from .parabolic import CompatibleParabolic, minimal_parabolic
 from .rootsys import RootSystem, Weight, build_root_system
 from .sl2embed import Sl2Embedding, from_defining_vector, from_principal, from_root
 
 _ALGEBRA_PART = re.compile(r"([A-Za-z])([0-9]+)")
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+# Ceiling on one rational: the digits of its text plus the size of its
+# exponent.  It is checked before Fraction runs: past it "1e5000" would
+# fail when printed (Python's 4300-digit limit on int to str), and
+# "1e999999999" would build 10**999999999 first.
+MAX_RATIONAL_DIGITS = 100
 
 
 def parse_algebra(text: str) -> tuple[tuple[str, int], ...]:
@@ -31,14 +38,24 @@ def parse_algebra(text: str) -> tuple[tuple[str, int], ...]:
     return tuple(parts)
 
 
+def _rational(chunk: str) -> Fraction:
+    size = sum(c.isdigit() for c in chunk)
+    # int() refuses texts past 4300 digits: read no exponent past the ceiling.
+    exponent = _EXPONENT.search(chunk) if size <= MAX_RATIONAL_DIGITS else None
+    if exponent:
+        size += abs(int(exponent.group(1)))
+    if size > MAX_RATIONAL_DIGITS:
+        raise UnsupportedRegime(
+            f"rational with more than {MAX_RATIONAL_DIGITS} digits, exponent included"
+        )
+    try:
+        return Fraction(chunk)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidInput(f"cannot parse rational {chunk!r}") from None
+
+
 def parse_rationals(text: str) -> tuple[Fraction, ...]:
-    values = []
-    for chunk in text.split(","):
-        try:
-            values.append(Fraction(chunk.strip()))
-        except (ValueError, ZeroDivisionError):
-            raise InvalidInput(f"cannot parse rational {chunk!r}") from None
-    return tuple(values)
+    return tuple(_rational(chunk) for chunk in text.split(","))
 
 
 def parse_embedding(text: str, rs: RootSystem) -> Sl2Embedding:

@@ -91,6 +91,15 @@ def minimal_parabolic(e: Sl2Embedding) -> CompatibleParabolic:
     )
 
 
+def _by_convention(convention: str, n_value, perp_value):
+    """The value read off n, or off n minus the e-line, as the convention asks."""
+    if convention == "n":
+        return n_value
+    if convention == "perp":
+        return perp_value
+    raise InvalidInput(f"unknown lambda convention {convention!r}")
+
+
 @dataclass(frozen=True)
 class ParabolicInvariants:
     """Scalar invariants of p; lambda pairs carried in both conventions."""
@@ -107,11 +116,8 @@ class ParabolicInvariants:
     lambda2_perp_defaulted: bool
 
     def lambdas(self, convention: str = "n") -> tuple[int, int]:
-        if convention == "n":
-            return (self.lambda1_n, self.lambda2_n)
-        if convention == "perp":
-            return (self.lambda1_perp, self.lambda2_perp)
-        raise InvalidInput(f"unknown lambda convention {convention!r}")
+        n = (self.lambda1_n, self.lambda2_n)
+        return _by_convention(convention, n, (self.lambda1_perp, self.lambda2_perp))
 
 
 def _max_submax(weights: Sequence[int], fallback: int) -> tuple[int, int, bool, bool]:
@@ -235,10 +241,10 @@ class BoundsReport:
     prior_work_coefficients: tuple[Fraction, ...] | None
 
     def socle_simplicity(self, convention: str = "n") -> Threshold:
-        return self.socle_simplicity_n if convention == "n" else self.socle_simplicity_perp
+        return _by_convention(convention, self.socle_simplicity_n, self.socle_simplicity_perp)
 
     def strong(self, convention: str = "n") -> Threshold:
-        return self.strong_n if convention == "n" else self.strong_perp
+        return _by_convention(convention, self.strong_n, self.strong_perp)
 
 
 def bounds_report(p: CompatibleParabolic) -> BoundsReport:

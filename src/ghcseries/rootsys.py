@@ -2,10 +2,16 @@
 
 Simple and semisimple algebras of types A, B, C, D, G2 and direct sums,
 total rank at most 4, realized in the standard orthonormal coordinates
-with the form <e_i, e_j> = delta_ij.  All arithmetic is over Fraction;
-no floating point anywhere.  A Weyl group is built once per process for
-each simple system, in one closure pass that also gives the element
-lengths and the left-multiplication table its Bruhat order reads.
+with the form <e_i, e_j> = delta_ij.  One per-family builder writes each
+factor straight into its block of the ambient coordinates.  The simple
+roots of A, B, C and D start with the chain e_i - e_{i+1}, which B ends
+with e_n, C with 2e_n and D with e_{n-1} + e_n.  B, C and D share the
+roots +-e_i +- e_j; B adds +-e_i and C adds +-2e_i.  G2 lists its six
+positive roots in a trace-zero realization in Q^3.  All arithmetic is
+over Fraction; no floating point anywhere.  A Weyl group is built once
+per process for each simple system, in one closure pass that also gives
+the element lengths and the left-multiplication table its Bruhat order
+reads.
 """
 
 from __future__ import annotations
@@ -91,85 +97,45 @@ def lex_positive(w: Weight) -> bool:
     return False
 
 
-def _embed(block: Sequence[Fraction], offset: int, ambient: int) -> Weight:
-    coords = [Fraction(0)] * ambient
-    for i, c in enumerate(block):
-        coords[offset + i] = _frac(c)
-    return Weight(tuple(coords))
+def _factor_roots(family: str, dim: int, offset: int, ambient: int):
+    """Simple roots and all roots of one factor, in ambient coordinates.
 
-
-def _factor_data(family: str, rank: int):
-    """Simple roots and full root set of one irreducible factor.
-
-    Returned in local block coordinates.  Positive roots are exactly the
-    lexicographically positive ones in every realization used here.
+    The factor owns coordinates offset .. offset + dim - 1; vec writes
+    (index, value) entries of that block into a zero ambient vector.
+    Positive roots are exactly the lexicographically positive ones in
+    every realization used here.
     """
-    f = Fraction
-    if family == "A":
-        dim = rank + 1
-        simples = [[f(0)] * dim for _ in range(rank)]
-        for i in range(rank):
-            simples[i][i], simples[i][i + 1] = f(1), f(-1)
-        roots = []
-        for i in range(dim):
-            for j in range(dim):
-                if i != j:
-                    v = [f(0)] * dim
-                    v[i], v[j] = f(1), f(-1)
-                    roots.append(v)
-        return dim, simples, roots
-    if family in ("B", "C"):
-        dim = rank
-        simples = [[f(0)] * dim for _ in range(rank)]
-        for i in range(rank - 1):
-            simples[i][i], simples[i][i + 1] = f(1), f(-1)
-        simples[rank - 1][rank - 1] = f(1) if family == "B" else f(2)
-        roots = []
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        v = [f(0)] * dim
-                        v[i], v[j] = f(si), f(sj)
-                        roots.append(v)
-        scale = 1 if family == "B" else 2
-        for i in range(dim):
-            for s in (1, -1):
-                v = [f(0)] * dim
-                v[i] = f(s * scale)
-                roots.append(v)
-        return dim, simples, roots
-    if family == "D":
-        dim = rank
-        simples = [[f(0)] * dim for _ in range(rank)]
-        for i in range(rank - 1):
-            simples[i][i], simples[i][i + 1] = f(1), f(-1)
-        simples[rank - 1][rank - 2] = f(1)
-        simples[rank - 1][rank - 1] = f(1)
-        roots = []
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        v = [f(0)] * dim
-                        v[i], v[j] = f(si), f(sj)
-                        roots.append(v)
-        return dim, simples, roots
+
+    def vec(*entries) -> Weight:
+        coords = [Fraction(0)] * ambient
+        for i, c in entries:
+            coords[offset + i] = Fraction(c)
+        return Weight(tuple(coords))
+
     if family == "G":
         # Trace-zero realization in Q^3, coordinates ordered so that the
         # classical positive system is the lexicographically positive one.
-        simples = [[f(0), f(1), f(-1)], [f(1), f(-2), f(1)]]
         positives = [
-            [f(0), f(1), f(-1)],
-            [f(1), f(-2), f(1)],
-            [f(1), f(-1), f(0)],
-            [f(1), f(0), f(-1)],
-            [f(1), f(1), f(-2)],
-            [f(2), f(-1), f(-1)],
+            vec(*enumerate(v))
+            for v in ((0, 1, -1), (1, -2, 1), (1, -1, 0), (1, 0, -1), (1, 1, -2), (2, -1, -1))
         ]
-        roots = positives + [[-c for c in v] for v in positives]
-        return 3, simples, roots
-    raise UnsupportedAlgebra(f"family {family!r} not supported")
+        return positives[:2], positives + [-v for v in positives]
+    chain = [vec((i, 1), (i + 1, -1)) for i in range(dim - 1)]
+    if family == "A":
+        return chain, [vec((i, 1), (j, -1)) for i in range(dim) for j in range(dim) if i != j]
+    pairs = [
+        vec((i, si), (j, sj))
+        for i in range(dim)
+        for j in range(i + 1, dim)
+        for si in (1, -1)
+        for sj in (1, -1)
+    ]
+    if family == "D":
+        return chain + [vec((dim - 2, 1), (dim - 1, 1))], pairs
+    scale = 1 if family == "B" else 2
+    return chain + [vec((dim - 1, scale))], pairs + [
+        vec((i, s * scale)) for i in range(dim) for s in (1, -1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -231,16 +197,17 @@ def build_root_system(spec: Iterable[tuple[str, int]]) -> RootSystem:
             f"total rank {total_rank} exceeds ceiling {MAX_TOTAL_RANK}"
         )
 
-    blocks = [_factor_data(fam, rank) for fam, rank in spec]
-    ambient = sum(b[0] for b in blocks)
+    dims = [3 if fam == "G" else rank + (fam == "A") for fam, rank in spec]
+    ambient = sum(dims)
     slices = []
     offset = 0
     simple_roots: list[Weight] = []
     roots: list[Weight] = []
-    for dim, simples, factor_roots in blocks:
+    for (fam, _), dim in zip(spec, dims):
+        simples, factor_roots = _factor_roots(fam, dim, offset, ambient)
         slices.append((offset, offset + dim))
-        simple_roots += [_embed(v, offset, ambient) for v in simples]
-        roots += [_embed(v, offset, ambient) for v in factor_roots]
+        simple_roots += simples
+        roots += factor_roots
         offset += dim
 
     positive = tuple(r for r in roots if lex_positive(r))

@@ -4,7 +4,8 @@ Each oracle recomputes a quantity from its definition with no shared code
 paths: the Euler characteristic as an alternating Hom-space sum over the
 two-step relative Koszul complex, vector partitions by direct enumeration,
 Bruhat order by the subword property, Weyl groups as the closure under
-every positive reflection with inversion-count lengths, block multiplicity
+every positive reflection with inversion-count lengths, root systems as the
+closure of their simple roots under their own reflections, block multiplicity
 matrices from those two with every placement found by a full scan,
 exterior-power weights from itertools.combinations, and first-page
 dimensions from those weights and the n_k-cohomology windows written out
@@ -168,6 +169,31 @@ def reflection_closure(positive_roots, ambient: int) -> tuple[WeylElement, ...]:
     return tuple(sorted(elements, key=lambda w: (w.length, w.matrix)))
 
 
+def simple_root_closure(simple_roots) -> frozenset[tuple]:
+    """Every image of a simple root under words in the simple reflections."""
+    reflections = [_reflection(a) for a in simple_roots]
+    seen = {tuple(a.coords) for a in simple_roots}
+    frontier = set(seen)
+    while frontier:
+        frontier = {_act(s, v) for v in frontier for s in reflections} - seen
+        seen |= frontier
+    return frozenset(seen)
+
+
+def lex_positive_half(roots) -> tuple:
+    """The roots whose first nonzero coordinate is positive, in the given order."""
+    return tuple(r for r in roots if next(c for c in r.coords if c) > 0)
+
+
+def indecomposable_roots(positive_roots) -> tuple:
+    """The positive roots that are not the sum of two others, in the given order."""
+    sums = {
+        tuple(x + y for x, y in zip(a.coords, b.coords))
+        for a, b in combinations(positive_roots, 2)
+    }
+    return tuple(a for a in positive_roots if a.coords not in sums)
+
+
 def _right_multiply(rs, w: WeylElement, simple_matrix) -> WeylElement:
     prod = _mat_mul(w.matrix, simple_matrix)
     return WeylElement(matrix=prod, length=_inversions(prod, rs.positive_roots))
@@ -245,11 +271,7 @@ def brute_multiplicity_matrix(elements, p) -> tuple[tuple[tuple[int, ...], ...],
         positives = integral_positive_roots(
             SimpleNamespace(coords=key), p.adapted_positive_roots
         )
-        sums = {
-            tuple(x + y for x, y in zip(a.coords, b.coords))
-            for a, b in combinations(positives, 2)
-        }
-        simples = tuple(a for a in positives if a.coords not in sums)
+        simples = indecomposable_roots(positives)
         group = reflection_closure(positives, ambient)
         orbit = frozenset(_act(w.matrix, key) for w in group)
         antidominant = [

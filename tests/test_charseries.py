@@ -126,6 +126,11 @@ def test_euler_window_requirements():
     assert theta.mult(2) == 1 and theta.mult(0) == -1
 
 
+def test_euler_refuses_a_k_character():
+    with pytest.raises(InvalidInput, match="nonnegative"):
+        euler_k_character(KCharacter({0: 1, 2: 1}, cutoff=30), 10)
+
+
 def test_euler_of_finite_k_characters_doubles_them():
     for delta in (0, 1, 4):
         weights = {w: 1 for w in range(-delta, delta + 1, 2)}

@@ -24,6 +24,7 @@ from ghcseries import (
 from ghcseries.blocks import MAX_IWASAWA_A
 from ghcseries.charseries import MAX_CUTOFF
 from ghcseries.cli import main
+from ghcseries.fixtures import MAX_RATIONAL_DIGITS
 from ghcseries.report import character_pairs
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -231,6 +232,12 @@ EXIT_CASES = [
     (["character", "--fixture", "sp4-principal", "--mu", str(-MAX_CUTOFF),
       "--allow-virtual", "--cutoff", "10"], 3),
     (["iwasawa", "--a", str(MAX_IWASAWA_A + 1)], 3),
+    (["iwasawa", "--a", "1", "--c", "1" * (MAX_RATIONAL_DIGITS + 1)], 3),
+    (["block", "--fixture", "sp4-principal",
+      "--kappa", "1/2," + "1" * (MAX_RATIONAL_DIGITS + 1)], 3),
+    (["analyze", "--algebra", "C2",
+      "--embedding", "vector:2," + "1" * (MAX_RATIONAL_DIGITS + 1)], 3),
+    (["iwasawa", "--a", "1", "--c", "1,2"], 2),
 ]
 
 
@@ -240,6 +247,20 @@ def test_error_exit_codes(args, code, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Fraction(" not in err
+
+
+def test_rational_ceiling_counts_text_digits_and_the_exponent(capsys):
+    at_ceiling = "1" * MAX_RATIONAL_DIGITS
+    assert main(["iwasawa", "--a", "1", "--c", at_ceiling]) == 0
+    assert json.loads(capsys.readouterr().out)["c"] == int(at_ceiling)
+    # "1e97" has 3 digits and exponent 97: 100 in all, so one more is past.
+    exponent = MAX_RATIONAL_DIGITS - 3
+    assert len(str(exponent)) == len(str(exponent + 1)) == 2
+    assert main(["iwasawa", "--a", "1", "--c", f"1e{exponent}"]) == 0
+    assert json.loads(capsys.readouterr().out)["c"] == 10**exponent
+    for c in (f"1e{exponent + 1}", f"1e-{exponent + 1}", f"-{at_ceiling}/3"):
+        assert main(["iwasawa", "--a", "1", "--c", c]) == 3
+        assert f"more than {MAX_RATIONAL_DIGITS} digits" in capsys.readouterr().err
 
 
 def test_negative_values_may_follow_their_option(capsys):

@@ -177,6 +177,18 @@ def test_prior_work_coefficients_for_principal_sp4():
     assert report.prior_work.exact == 2 * (4 + 3) - 1
 
 
+def test_every_convention_selector_refuses_an_unknown_convention():
+    p = get_fixture("sp4-principal").build_parabolic()
+    report, inv = bounds_report(p), invariants(p)
+    assert report.socle_simplicity("perp") == report.socle_simplicity_perp
+    assert report.strong("perp") == report.strong_perp
+    selectors = (report.socle_simplicity, report.strong, inv.lambdas)
+    for select in selectors:
+        with pytest.raises(InvalidInput) as exc:
+            select("sideways")
+        assert str(exc.value) == "unknown lambda convention 'sideways'"
+
+
 def test_threshold_ceiling():
     p = get_fixture("sl3-root").build_parabolic()
     strong = bounds_report(p).strong("n")

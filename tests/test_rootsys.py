@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -20,7 +21,13 @@ from ghcseries import (
     weyl_group,
 )
 from ghcseries import rootsys
-from oracles import bruhat_lower_intervals, reflection_closure
+from oracles import (
+    bruhat_lower_intervals,
+    indecomposable_roots,
+    lex_positive_half,
+    reflection_closure,
+    simple_root_closure,
+)
 
 SUPPORTED_SINGLE = [
     (("A", 1), 2, 2),
@@ -129,6 +136,45 @@ def test_out_of_scope_algebras_raise(spec):
 def test_total_rank_is_capped():
     with pytest.raises(UnsupportedAlgebra):
         build_root_system((("A", 3), ("A", 2)))
+
+
+# Every supported factor, then direct sums with more than one factor.
+PINNED_SPECS = [
+    ((fam, rank),)
+    for fam, ranks in (("A", (1, 2, 3, 4)), ("B", (1, 2, 3, 4)), ("C", (1, 2, 3, 4)),
+                       ("D", (2, 3, 4)), ("G", (2,)))
+    for rank in ranks
+] + [
+    (("A", 1), ("C", 2)),
+    (("G", 2), ("A", 1), ("A", 1)),
+    (("A", 2), ("A", 2)),
+]
+# sha256 of the root data of PINNED_SPECS: every coordinate and the order
+# of every root list are fixed, and gradings, parabolics, Weyl groups and
+# goldens all read them.
+ROOT_DATA_SHA256 = "05109164355bd31b33dd836457b962fb305581f05d82995bfc74b2de43bd771d"
+
+
+def test_root_data_matches_the_pinned_digest():
+    digest = hashlib.sha256()
+    for spec in PINNED_SPECS:
+        rs = build_root_system(spec)
+        fields = (rs.type_label, rs.ambient, rs.roots, rs.positive_roots,
+                  rs.simple_roots, rs.rho_tilde, rs.factor_slices)
+        digest.update(repr(fields).encode())
+    assert digest.hexdigest() == ROOT_DATA_SHA256
+
+
+@pytest.mark.parametrize("spec", PINNED_SPECS, ids=_label)
+def test_root_data_matches_the_closure_oracle(spec):
+    rs = build_root_system(spec)
+    coords = [r.coords for r in rs.roots]
+    assert len(set(coords)) == len(coords)
+    assert set(coords) == simple_root_closure(rs.simple_roots)
+    assert rs.positive_roots == lex_positive_half(rs.roots)
+    assert 2 * len(rs.positive_roots) == len(rs.roots)
+    assert len(rs.simple_roots) == rs.rank
+    assert set(indecomposable_roots(rs.positive_roots)) == set(rs.simple_roots)
 
 
 @pytest.mark.parametrize("spec,_rc,_wo", SUPPORTED_SINGLE)
