@@ -10,7 +10,8 @@ polynomial of a dihedral group being 1; socle k-characters follow by
 inverting the matrix.  The Bruhat order itself (rootsys.bruhat_leq_over,
 read in the shared WeylGroup of a linkage class) works at any rank; above
 total rank 2 the Kazhdan-Lusztig corrections are not computed, so the
-matrix is refused there with UnsupportedRank.
+matrix is refused there with UnsupportedRank.  A linkage class is placed
+from its antidominant point, reached by simple reflections.
 """
 
 from __future__ import annotations
@@ -211,27 +212,19 @@ class MultiplicityMatrix:
 
 def _antidominant_point(point: Weight, group: WeylGroup) -> Weight:
     """The one point of point's regular orbit that pairs negatively with
-    every simple root of group.
+    every simple root of group, and so with every positive root.
 
-    The orbit is regular iff it has |group| points: the stabilizer of a
-    point is generated by the reflections it contains (Steinberg; Humphreys,
-    Reflection Groups and Coxeter Groups, 1.12), so a smaller orbit means a
-    zero pairing with a root.  For a regular point, negative pairings with
-    the simple roots mean negative pairings with every positive root.
+    Reached by reflecting in a simple root that pairs positively, at most
+    once per positive root, with no orbit built (Humphreys, Reflection
+    Groups and Coxeter Groups, 1.12).  A zero pairing: the orbit is singular.
     """
-    orbit = {x.apply(point).coords for x in group}
-    if len(orbit) != len(group):
+    pairings = [coroot_pairing(point, a) for a in group.simple_roots]
+    if 0 in pairings:
         raise InternalInconsistency("regular orbit produced a zero pairing")
-    found = [
-        candidate
-        for candidate in map(Weight, orbit)
-        if all(coroot_pairing(candidate, a) < 0 for a in group.simple_roots)
-    ]
-    if len(found) != 1:
-        raise InternalInconsistency(
-            f"expected one antidominant orbit point, found {len(found)}"
-        )
-    return found[0]
+    for alpha, c in zip(group.simple_roots, pairings):
+        if c > 0:
+            return _antidominant_point(point - alpha.scaled(c), group)
+    return point
 
 
 def _check_matrix_regime(p: CompatibleParabolic) -> None:

@@ -28,7 +28,13 @@ from .charseries import (
     t_character_N,
 )
 from .errors import GhcseriesError, InvalidInput, OutOfRegime, UnsupportedRegime
-from .fixtures import get_fixture, parse_algebra, parse_embedding, parse_rationals
+from .fixtures import (
+    MAX_RATIONAL_DIGITS,
+    get_fixture,
+    parse_algebra,
+    parse_embedding,
+    parse_rationals,
+)
 from .parabolic import bounds_report, invariants, minimal_parabolic
 from .report import character_pairs, rational, render_json, render_table, weight_coords
 from .rootsys import Weight, build_root_system
@@ -115,6 +121,13 @@ def _cutoff(args) -> int:
         raise InvalidInput("cutoff must be nonnegative")
     if value > MAX_CUTOFF:
         raise UnsupportedRegime(f"cutoff {value} exceeds the ceiling {MAX_CUTOFF}")
+    return value
+
+
+def _bounded(value: int, option: str) -> int:
+    """value, or UnsupportedRegime when it has more than MAX_RATIONAL_DIGITS digits."""
+    if abs(value) >= 10**MAX_RATIONAL_DIGITS:
+        raise UnsupportedRegime(f"{option} has more than {MAX_RATIONAL_DIGITS} digits")
     return value
 
 
@@ -211,9 +224,9 @@ def cmd_analyze(args) -> dict:
 def cmd_character(args) -> dict:
     pair, emb, p = _resolve_pair(args)
     cutoff = _cutoff(args)
-    mu = args.mu
+    mu, dim_e = _bounded(args.mu, "--mu"), _bounded(args.dim_e, "--dim-e")
     omega = mu - p.two_rho_n_perp
-    datum = ModuleDatumE(omega=omega, dim_e=args.dim_e)
+    datum = ModuleDatumE(omega=omega, dim_e=dim_e)
     virtual = mu < 0 and args.allow_virtual
     # The Euler character needs N through cutoff + 2; the printed
     # t-character is the same list cut back to the window (None, cutoff).
@@ -235,7 +248,7 @@ def cmd_character(args) -> dict:
         "pair": pair,
         "mu": mu,
         "omega": omega,
-        "dim_e": args.dim_e,
+        "dim_e": dim_e,
         "cutoff": cutoff,
         "t_character_N": {
             "min_weight": mu + 2,
@@ -264,7 +277,7 @@ def _element_doc(element, orbit_id=None) -> dict:
 
 
 def _block_central_character(args, p):
-    """The central character of --kappa, once the pair is known to have a block.
+    """The parsed --kappa and its central character, once the pair has a block.
 
     The pair-only checks run before the Weyl group is built, so an
     unsupported pair exits at once; a kappa of the wrong length is still
@@ -273,17 +286,17 @@ def _block_central_character(args, p):
     kappa = Weight(parse_rationals(args.kappa))
     _check_kappa_length(kappa, p.embedding.rs)
     _check_matrix_regime(p)
-    return central_character_from_kappa(kappa, p.embedding.rs)
+    return kappa, central_character_from_kappa(kappa, p.embedding.rs)
 
 
 def cmd_block(args) -> dict:
     pair, emb, p = _resolve_pair(args)
-    kappa = _block_central_character(args, p)
+    given, kappa = _block_central_character(args, p)
     matrix = multiplicity_matrix(kappa, p)
     return {
         "command": "block",
         "pair": pair,
-        "kappa": [rational(c) for c in parse_rationals(args.kappa)],
+        "kappa": weight_coords(given),
         "central_character": {
             "representative": weight_coords(kappa.representative),
             "regular": kappa.regular,
@@ -302,21 +315,22 @@ def cmd_block(args) -> dict:
 def cmd_socle(args) -> dict:
     pair, emb, p = _resolve_pair(args)
     cutoff = _cutoff(args)
-    kappa = _block_central_character(args, p)
+    mu = _bounded(args.mu, "--mu")
+    given, kappa = _block_central_character(args, p)
     matrix = multiplicity_matrix(kappa, p)
-    hits = [e for e in matrix.elements if e.mu == args.mu]
+    hits = [e for e in matrix.elements if e.mu == mu]
     if not hits:
         mus = ", ".join(str(rational(e.mu)) for e in matrix.elements)
-        raise InvalidInput(f"no block element with mu = {args.mu}; present: {mus}")
+        raise InvalidInput(f"no block element with mu = {mu}; present: {mus}")
     if len(hits) > 1:
-        raise InvalidInput(f"mu = {args.mu} is shared by {len(hits)} block elements")
+        raise InvalidInput(f"mu = {mu} is shared by {len(hits)} block elements")
     result = socle_k_character(p, matrix, hits[0], cutoff)
     character = result.character
     return {
         "command": "socle",
         "pair": pair,
-        "kappa": [rational(c) for c in parse_rationals(args.kappa)],
-        "mu": args.mu,
+        "kappa": weight_coords(given),
+        "mu": mu,
         "cutoff": cutoff,
         "element": _element_doc(result.element),
         "genuine_socle": result.genuine_socle,

@@ -23,9 +23,8 @@ from .errors import (
     NotIntegrable,
     WindowTooNarrow,
 )
-from .linalg import solve_unique
 from .report import rational
-from .rootsys import RootSystem, TRACE_ZERO_FAMILIES, Weight, inner_product
+from .rootsys import RootSystem, Weight, inner_product
 
 
 @dataclass(frozen=True)
@@ -137,9 +136,6 @@ class Sl2Decomposition:
 
     counts: tuple[tuple[int, int], ...]
 
-    def count(self, m: int) -> int:
-        return dict(self.counts).get(m, 0)
-
     def dimension(self) -> int:
         return sum(c * (m + 1) for m, c in self.counts)
 
@@ -176,22 +172,19 @@ def _validated(rs: RootSystem, h_vec: Weight, kind: str) -> Sl2Embedding:
 
 
 def from_principal(rs: RootSystem) -> Sl2Embedding:
-    """Defining vector with alpha_i(h) = 2 on every simple root.
+    """h = 2 rho^vee, the sum of the positive coroots 2 alpha / <alpha, alpha>.
 
-    Trace-zero factor blocks additionally get a zero-sum constraint to
-    pin the otherwise shift-ambiguous coordinates.
+    Every simple root is 2 on it (Kostant, The principal three-dimensional
+    subgroup..., 1959), and it lies in the span of the roots, which fixes it.
     """
-    rows = [list(a.coords) for a in rs.simple_roots]
-    rhs = [Fraction(2)] * len(rows)
-    for (fam, _), (lo, hi) in zip(rs.type_label, rs.factor_slices):
-        if fam in TRACE_ZERO_FAMILIES:
-            row = [Fraction(0)] * rs.ambient
-            for i in range(lo, hi):
-                row[i] = Fraction(1)
-            rows.append(row)
-            rhs.append(Fraction(0))
-    solution = solve_unique(rows, rhs)
-    return _validated(rs, Weight(tuple(solution)), kind="principal")
+    h = [Fraction(0)] * rs.ambient
+    # A root has two or three nonzero coordinates: skip the zeros' Fraction work.
+    for alpha in rs.positive_roots:
+        support = [(i, x) for i, x in enumerate(alpha.coords) if x]
+        c = 2 / sum(x * x for _, x in support)
+        for i, x in support:
+            h[i] += c * x
+    return _validated(rs, Weight(tuple(h)), kind="principal")
 
 
 def from_root(rs: RootSystem, beta) -> Sl2Embedding:

@@ -5,13 +5,14 @@ paths: the Euler characteristic as an alternating Hom-space sum over the
 two-step relative Koszul complex, vector partitions by direct enumeration,
 Bruhat order by the subword property, Weyl groups as the closure under
 every positive reflection with inversion-count lengths, root systems as the
-closure of their simple roots under their own reflections, block multiplicity
-matrices from those two with every placement found by a full scan,
-exterior-power weights from itertools.combinations, and first-page
-dimensions from those weights and the n_k-cohomology windows written out
-by hand.  Nothing is
-imported from the library but its error classes and the WeylElement
-record the group oracles return.
+closure of their simple roots under their own reflections, the principal
+defining vector by exact elimination on alpha_i(h) = 2, antidominant orbit
+points by a scan of the whole orbit, block multiplicity matrices from those
+with every placement found by a full scan, exterior-power weights from
+itertools.combinations, and first-page dimensions from those weights and
+the n_k-cohomology windows written out by hand.  Nothing is imported from
+the library but its error classes and the WeylElement record the group
+oracles return.
 """
 
 from __future__ import annotations
@@ -249,6 +250,46 @@ def _act(matrix, coords) -> tuple:
     return tuple(sum(x * c for x, c in zip(row, coords)) for row in matrix)
 
 
+def principal_defining_vector(rs) -> tuple[Fraction, ...]:
+    """The h with alpha_i(h) = 2 on every simple root, by Gauss-Jordan elimination.
+
+    Factors of type A and G live in the trace-zero part of their coordinate
+    block, so each such block also gets the row "coordinates sum to 0";
+    the system then has exactly one solution.
+    """
+    rows = [list(a.coords) + [Fraction(2)] for a in rs.simple_roots]
+    for (family, _), (lo, hi) in zip(rs.type_label, rs.factor_slices):
+        if family in ("A", "G"):
+            block = [Fraction(int(lo <= i < hi)) for i in range(rs.ambient)]
+            rows.append(block + [Fraction(0)])
+    pivot_row = 0
+    for col in range(rs.ambient):
+        pivot = next(r for r in range(pivot_row, len(rows)) if rows[r][col] != 0)
+        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
+        lead = rows[pivot_row][col]
+        rows[pivot_row] = [x / lead for x in rows[pivot_row]]
+        for r in range(len(rows)):
+            if r != pivot_row and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[pivot_row])]
+        pivot_row += 1
+    assert pivot_row == len(rows) == rs.ambient, "the system is not square and regular"
+    return tuple(row[-1] for row in rows)
+
+
+def antidominant_orbit_point(key: tuple, group, positive_roots) -> tuple:
+    """The one point of key's orbit under group (WeylElements) that pairs
+    negatively with every given positive root, by scanning the whole orbit."""
+    orbit = frozenset(_act(w.matrix, key) for w in group)
+    found = [
+        point
+        for point in orbit
+        if all(sum(x * y for x, y in zip(point, a.coords)) < 0 for a in positive_roots)
+    ]
+    assert len(found) == 1, found
+    return found[0]
+
+
 def brute_multiplicity_matrix(elements, p) -> tuple[tuple[tuple[int, ...], ...], tuple]:
     """The 0/1 multiplicity matrix and linkage-class ids of a regular block.
 
@@ -257,11 +298,12 @@ def brute_multiplicity_matrix(elements, p) -> tuple[tuple[tuple[int, ...], ...],
     roots; the antidominant point is the orbit point pairing negatively
     with every one of those roots, and the placement is the group element
     sending that point to the key, each found by scanning the whole orbit
-    or group.  Classes are numbered by first appearance of their orbit, and
-    m(E, D) = 1 iff D is in E's class and D's placement lies in the lower
-    Bruhat interval of E's, read off the subword property in the integral
-    group with its own simple roots (the positives that are not a sum of
-    two others).
+    or group.  A linkage class is an orbit, and an orbit has one
+    antidominant point, so classes are numbered by first appearance of that
+    point, and m(E, D) = 1 iff D is in E's class and D's placement lies in
+    the lower Bruhat interval of E's, read off the subword property in the
+    integral group with its own simple roots (the positives that are not a
+    sum of two others).
     """
     shift = p.rho_tilde_adapted.coords
     ambient = len(shift)
@@ -273,24 +315,18 @@ def brute_multiplicity_matrix(elements, p) -> tuple[tuple[tuple[int, ...], ...],
         )
         simples = indecomposable_roots(positives)
         group = reflection_closure(positives, ambient)
-        orbit = frozenset(_act(w.matrix, key) for w in group)
-        antidominant = [
-            point
-            for point in orbit
-            if all(sum(x * y for x, y in zip(point, a.coords)) < 0 for a in positives)
-        ]
-        assert len(antidominant) == 1, antidominant
-        placement = [w for w in group if _act(w.matrix, antidominant[0]) == key]
+        antidominant = antidominant_orbit_point(key, group, positives)
+        placement = [w for w in group if _act(w.matrix, antidominant) == key]
         assert len(placement) == 1, placement
         integral = SimpleNamespace(simple_roots=simples, positive_roots=positives)
-        found.append((orbit, placement[0], bruhat_lower_intervals(integral, group)))
-    orbits = list(dict.fromkeys(orbit for orbit, _, _ in found))
-    orbit_ids = tuple(orbits.index(orbit) for orbit, _, _ in found)
+        found.append((antidominant, placement[0], bruhat_lower_intervals(integral, group)))
+    classes = list(dict.fromkeys(point for point, _, _ in found))
+    orbit_ids = tuple(classes.index(point) for point, _, _ in found)
     m_matrix = tuple(
         tuple(
-            int(orbit_e == orbit_d and x_d in below_e[x_e])
-            for orbit_d, x_d, _ in found
+            int(point_e == point_d and x_d in below_e[x_e])
+            for point_d, x_d, _ in found
         )
-        for orbit_e, x_e, below_e in found
+        for point_e, x_e, below_e in found
     )
     return m_matrix, orbit_ids

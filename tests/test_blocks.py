@@ -17,11 +17,13 @@ from ghcseries import (
     Weight,
     build_root_system,
     central_character_from_kappa,
+    coroot_pairing,
     enumerate_block,
     f1_k_character,
     from_principal,
     from_root,
     get_fixture,
+    inner_product,
     integral_weyl_subgroup,
     iwasawa_sl3_support,
     minimal_parabolic,
@@ -35,7 +37,9 @@ from ghcseries import blocks
 from ghcseries.blocks import MAX_IWASAWA_A, _antidominant_point
 from ghcseries.charseries import ModuleDatumE
 from ghcseries.fixtures import parse_algebra
+from ghcseries.rootsys import WeylElement
 from oracles import (
+    antidominant_orbit_point,
     brute_multiplicity_matrix,
     integral_positive_roots,
     reflection_closure,
@@ -208,6 +212,52 @@ def test_antidominant_point_refuses_a_singular_orbit():
     group = integral_weyl_subgroup(kappa, rs)
     with pytest.raises(InternalInconsistency, match="regular orbit produced a zero pairing"):
         _antidominant_point(kappa, group)
+
+
+@pytest.mark.parametrize("spec", ORDER_SPECS, ids=_label)
+def test_antidominant_point_matches_the_orbit_scan_oracle(spec):
+    rs = build_root_system(spec)
+    positive_roots = minimal_parabolic(from_principal(rs)).adapted_positive_roots
+    rng = random.Random(f"antidominant-{_label(spec)}")
+    # 2 rho is regular and integral: its walk crosses the whole group.
+    keys = [rs.rho_tilde.scaled(2)] + [
+        Weight.of(
+            *(Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(rs.ambient))
+        )
+        for _ in range(12)
+    ]
+    regular = 0
+    for key in keys:
+        group = integral_weyl_subgroup(key, rs, positive_roots)
+        positives = integral_positive_roots(key, positive_roots)
+        if any(inner_product(key, a) == 0 for a in positives):
+            with pytest.raises(InternalInconsistency, match="zero pairing"):
+                _antidominant_point(key, group)
+            continue
+        closure = _oracle_closure(positives, rs.ambient)
+        expected = antidominant_orbit_point(key.coords, closure, positives)
+        assert _antidominant_point(key, group).coords == expected, key
+        regular += 1
+    assert regular
+
+
+def test_antidominant_point_applies_no_group_element(monkeypatch):
+    calls = [0]
+    apply = WeylElement.apply
+
+    def counted(self, w):
+        calls[0] += 1
+        return apply(self, w)
+
+    monkeypatch.setattr(WeylElement, "apply", counted)
+    for spec, key in ((("C", 2), (3, 1)), (("B", 4), (7, -5, 3, 1))):
+        rs = build_root_system((spec,))
+        group = weyl_group(rs)
+        point = _antidominant_point(Weight.of(*key), group)
+        assert all(coroot_pairing(point, a) < 0 for a in rs.simple_roots)
+    assert calls[0] == 0
+    group[-1].apply(point)
+    assert calls[0] == 1
 
 
 RANK2_ALGEBRAS = ["A1", "B1", "C1", "A1+A1", "D2", "A2", "B2", "C2", "G2"]

@@ -28,6 +28,8 @@ from ghcseries.fixtures import MAX_RATIONAL_DIGITS
 from ghcseries.report import character_pairs
 
 GOLDEN = Path(__file__).parent / "golden"
+# The longest integer argparse reads: Python turns at most 4300 digits into an int.
+HUGE = "9" * 4300
 
 GOLDEN_COMMANDS = {
     "analyze_sl2xsl2-diagonal.json": ["analyze", "--fixture", "sl2xsl2-diagonal"],
@@ -238,6 +240,14 @@ EXIT_CASES = [
     (["analyze", "--algebra", "C2",
       "--embedding", "vector:2," + "1" * (MAX_RATIONAL_DIGITS + 1)], 3),
     (["iwasawa", "--a", "1", "--c", "1,2"], 2),
+    # Integer options past the rational ceiling, up to the longest argparse reads.
+    (["character", "--fixture", "sp4-principal", "--mu", HUGE, "--cutoff", "10"], 3),
+    (["character", "--fixture", "sp4-principal", "--mu", "-" + HUGE, "--cutoff", "10"], 3),
+    (["character", "--fixture", "sp4-principal", "--mu", "-" + HUGE,
+      "--allow-virtual", "--cutoff", "10"], 3),
+    (["character", "--fixture", "sp4-principal", "--mu", "0", "--dim-e", HUGE,
+      "--cutoff", "10"], 3),
+    (["socle", "--fixture", "sp4-principal", "--kappa", "3/2,1/2", "--mu", HUGE], 3),
 ]
 
 
@@ -261,6 +271,45 @@ def test_rational_ceiling_counts_text_digits_and_the_exponent(capsys):
     for c in (f"1e{exponent + 1}", f"1e-{exponent + 1}", f"-{at_ceiling}/3"):
         assert main(["iwasawa", "--a", "1", "--c", c]) == 3
         assert f"more than {MAX_RATIONAL_DIGITS} digits" in capsys.readouterr().err
+
+
+def test_integer_options_share_the_rational_ceiling(capsys):
+    below, past = str(10**MAX_RATIONAL_DIGITS - 1), str(10**MAX_RATIONAL_DIGITS)
+    character = ["character", "--fixture", "sp4-principal", "--cutoff", "10"]
+    socle = ["socle", "--fixture", "sp4-principal", "--kappa", "3/2,1/2", "--mu"]
+    assert main(character + ["--mu", below]) == 0
+    assert main(character + ["--mu", "0", "--dim-e", below]) == 0
+    capsys.readouterr()
+    # A mu this negative passes the digit ceiling and meets the partition one.
+    assert main(character + ["--mu", "-" + below, "--allow-virtual"]) == 3
+    assert "partition list" in capsys.readouterr().err
+    assert main(socle + [below]) == 2
+    assert "no block element" in capsys.readouterr().err
+    for argv in (
+        character + ["--mu", past],
+        character + ["--mu", "-" + past, "--allow-virtual"],
+        character + ["--mu", "0", "--dim-e", past],
+        character + ["--mu", "0", "--dim-e", "-" + past],
+        socle + [past],
+    ):
+        assert main(argv) == 3
+        assert f"more than {MAX_RATIONAL_DIGITS} digits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["block", "socle"])
+def test_kappa_is_parsed_once_per_call(command, capsys, monkeypatch):
+    texts = []
+    parse = cli.parse_rationals
+
+    def counted(text):
+        texts.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(cli, "parse_rationals", counted)
+    argv = [command, "--fixture", "sp4-principal", "--kappa", "3/2,1/2"]
+    assert main(argv + (["--mu", "0"] if command == "socle" else [])) == 0
+    assert json.loads(capsys.readouterr().out)["kappa"] == ["3/2", "1/2"]
+    assert texts == ["3/2,1/2"]
 
 
 def test_negative_values_may_follow_their_option(capsys):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -33,3 +35,37 @@ def test_public_functions_of_the_presentation_layers(module, names):
         if inspect.isfunction(fn) and fn.__module__ == module.__name__ and not name.startswith("_")
     )
     assert public == names
+
+
+def _modules_where(predicate, src=Path(ghcseries.__file__).parent):
+    """Stems of the library modules with an ast node that satisfies predicate."""
+    return {
+        path.stem
+        for path in src.glob("*.py")
+        if any(predicate(node) for node in ast.walk(ast.parse(path.read_text())))
+    }
+
+
+def _names_trace_zero_families(node) -> bool:
+    name = "TRACE_ZERO_FAMILIES"
+    return (
+        (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.alias) and node.name == name)
+    )
+
+
+def _imports_linalg(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        names = [node.module or ""] + [a.name for a in node.names if not node.module]
+    elif isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    else:
+        return False
+    return any(name.split(".")[-1] == "linalg" for name in names)
+
+
+def test_one_module_each_knows_the_trace_zero_realization_and_solves_systems():
+    """Only rootsys reads the trace-zero families; only parabolic solves a system."""
+    assert _modules_where(_names_trace_zero_families) == {"rootsys"}
+    assert _modules_where(_imports_linalg) == {"parabolic"}

@@ -27,6 +27,8 @@ from ghcseries import (
     t_character_of_g,
 )
 from ghcseries.sl2embed import expand_decomposition
+from oracles import principal_defining_vector
+from test_rootsys import ORDER_SPECS, _label
 
 
 PRINCIPAL_H = [
@@ -48,6 +50,12 @@ def test_principal_defining_vectors(spec, h):
     for alpha in rs.simple_roots:
         assert grading[alpha] == 2
     assert is_regular(emb)
+
+
+@pytest.mark.parametrize("spec", ORDER_SPECS, ids=_label)
+def test_principal_h_matches_the_elimination_oracle(spec):
+    rs = build_root_system(spec)
+    assert from_principal(rs).h_vector.coords == principal_defining_vector(rs)
 
 
 def test_root_embedding_defining_vector():
