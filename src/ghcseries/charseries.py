@@ -80,8 +80,20 @@ def t_character_N(
     """
     mu = E.omega + p.two_rho_n_perp
     counts = _partition_counts(p.n_weights, cutoff - mu - 2)
-    mults = {mu + 2 + i: E.dim_e * c for i, c in enumerate(counts)}
+    mults = _t_mults(mu, E.dim_e, counts, len(counts))
     return TruncatedTCharacter(mults, window=(None, cutoff))
+
+
+def _t_mults(mu: int, dim_e: int, counts: list[int], size: int) -> dict[int, int]:
+    """t-character multiplicities read off the first size entries of a partition list.
+
+    Entry i of counts is the partition count of i, so it sits at t-weight
+    mu + 2 + i; zero entries are left out, and a size <= 0 reads nothing.
+    The F1 list through cutoff - mu holds the t-character list through
+    cutoff - mu - 2 as its first cutoff - mu - 1 entries, so one list
+    serves both characters.
+    """
+    return {mu + 2 + i: dim_e * counts[i] for i in range(size) if counts[i]}
 
 
 def euler_k_character(N: TruncatedTCharacter, cutoff: int) -> KCharacter:
@@ -125,11 +137,20 @@ def f1_k_character(
             f"mu = {mu} < 0: lower and upper degrees need not vanish there"
         )
     counts = _partition_counts(p.n_weights, cutoff - mu)
+    return KCharacter(_f1_mults(mu, E.dim_e, counts), cutoff=cutoff, virtual=False)
+
+
+def _f1_mults(mu: int, dim_e: int, counts: list[int]) -> dict[int, int]:
+    """F1 multiplicities from the whole partition list through cutoff - mu.
+
+    V(mu + i) has dim E times counts[i] - counts[i - 2]; zero entries are
+    left out.
+    """
     mults: dict[int, int] = {}
     for i, count in enumerate(counts):
-        c = E.dim_e * (count - (counts[i - 2] if i >= 2 else 0))
+        c = dim_e * (count - (counts[i - 2] if i >= 2 else 0))
         if c < 0:
             raise InternalInconsistency("negative multiplicity in a genuine character")
         if c:
             mults[mu + i] = c
-    return KCharacter(mults, cutoff=cutoff, virtual=False)
+    return mults

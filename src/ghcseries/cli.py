@@ -3,6 +3,10 @@
 Exit codes: 0 success, 2 invalid input, 3 declared-unsupported regime,
 4 internal inconsistency.  Output goes to stdout as JSON (default) or
 an aligned table; identical inputs produce byte-identical output.
+
+Each (g, sl(2)) pair is built once per process: the first call that names
+it builds the embedding and its minimal parabolic, and every later call,
+whichever spelling it uses, shares them.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import functools
 import os
 import sys
 
+from . import charseries
 from .blocks import (
     _check_kappa_length,
     _check_matrix_regime,
@@ -23,9 +28,9 @@ from .blocks import (
 from .charseries import (
     MAX_CUTOFF,
     ModuleDatumE,
+    _f1_mults,
+    _t_mults,
     euler_k_character,
-    f1_k_character,
-    t_character_N,
 )
 from .errors import GhcseriesError, InvalidInput, OutOfRegime, UnsupportedRegime
 from .fixtures import (
@@ -38,7 +43,7 @@ from .fixtures import (
 from .parabolic import bounds_report, invariants, minimal_parabolic
 from .report import character_pairs, rational, render_json, render_table, weight_coords
 from .rootsys import Weight, build_root_system
-from .sl2embed import is_regular
+from .sl2embed import TruncatedTCharacter, is_regular
 
 DEFAULT_CUTOFF = 60
 
@@ -131,6 +136,12 @@ def _bounded(value: int, option: str) -> int:
     return value
 
 
+# (parsed algebra, embedding text) -> (embedding, its minimal parabolic), built
+# at most once per process.  Every call that names the pair gets the same two
+# objects; treat them as immutable.  A build that raises is not stored.
+_PAIRS: dict[tuple, tuple] = {}
+
+
 def _resolve_pair(args):
     if args.fixture:
         if args.algebra or args.embedding:
@@ -144,7 +155,11 @@ def _resolve_pair(args):
         algebra, embedding = args.algebra, args.embedding
         pair = {"fixture": None, "summary": None}
     spec = parse_algebra(algebra)
-    emb = parse_embedding(embedding, build_root_system(spec))
+    built = _PAIRS.get((spec, embedding))
+    if built is None:
+        emb = parse_embedding(embedding, build_root_system(spec))
+        built = _PAIRS[spec, embedding] = (emb, minimal_parabolic(emb))
+    emb, p = built
     pair.update(
         {
             "algebra": "+".join(f"{fam}{rank}" for fam, rank in spec),
@@ -154,7 +169,7 @@ def _resolve_pair(args):
             "regular": is_regular(emb),
         }
     )
-    return pair, emb, minimal_parabolic(emb)
+    return pair, emb, p
 
 
 def _threshold_doc(threshold):
@@ -226,23 +241,26 @@ def cmd_character(args) -> dict:
     cutoff = _cutoff(args)
     mu, dim_e = _bounded(args.mu, "--mu"), _bounded(args.dim_e, "--dim-e")
     omega = mu - p.two_rho_n_perp
-    datum = ModuleDatumE(omega=omega, dim_e=dim_e)
-    virtual = mu < 0 and args.allow_virtual
-    # The Euler character needs N through cutoff + 2; the printed
-    # t-character is the same list cut back to the window (None, cutoff).
-    n_char = t_character_N(p, datum, cutoff + 2 if virtual else cutoff)
-    n_mults = {x: c for x, c in n_char.mults.items() if x <= cutoff}
-    if virtual:
-        theta = euler_k_character(n_char, cutoff)
-        k_char = type(theta)(
-            {d: -c for d, c in theta.mults.items()}, cutoff=cutoff, virtual=True
-        )
-    elif mu < 0:
+    ModuleDatumE(omega=omega, dim_e=dim_e)  # refuses dim E < 1
+    virtual = mu < 0
+    if virtual and not args.allow_virtual:
         raise OutOfRegime(
             f"mu = {mu} < 0 has no vanishing guarantee; pass --allow-virtual"
         )
+    # One partition list through cutoff - mu: the printed t-character is its
+    # prefix through cutoff - mu - 2, while F1, and the Euler character's N
+    # through cutoff + 2, read all of it.  It is looked up on the module so
+    # that a test can count the lists.
+    counts = charseries._partition_counts(p.n_weights, cutoff - mu)
+    n_mults = _t_mults(mu, dim_e, counts, cutoff - mu - 1)
+    if virtual:
+        n_char = TruncatedTCharacter(
+            _t_mults(mu, dim_e, counts, len(counts)), window=(None, cutoff + 2)
+        )
+        theta = euler_k_character(n_char, cutoff)
+        k_mults = {d: -c for d, c in theta.mults.items()}
     else:
-        k_char = f1_k_character(p, datum, cutoff)
+        k_mults = _f1_mults(mu, dim_e, counts)
     return {
         "command": "character",
         "pair": pair,
@@ -257,7 +275,7 @@ def cmd_character(args) -> dict:
         },
         "k_character_F1": {
             "virtual": virtual,
-            "mults": character_pairs(k_char.mults),
+            "mults": character_pairs(k_mults),
         },
     }
 

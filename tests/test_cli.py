@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import functools
 import io
 import json
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,9 +16,11 @@ from hypothesis import strategies as st
 from ghcseries import (
     FIXTURES,
     ModuleDatumE,
+    build_root_system,
     charseries,
     cli,
     get_fixture,
+    minimal_parabolic,
     rootsys,
     sl2embed,
     t_character_N,
@@ -24,8 +28,10 @@ from ghcseries import (
 from ghcseries.blocks import MAX_IWASAWA_A
 from ghcseries.charseries import MAX_CUTOFF
 from ghcseries.cli import main
-from ghcseries.fixtures import MAX_RATIONAL_DIGITS
+from ghcseries.fixtures import MAX_RATIONAL_DIGITS, parse_algebra, parse_embedding
 from ghcseries.report import character_pairs
+from oracles import brute_vector_partitions
+from test_rootsys import ORDER_SPECS, _label
 
 GOLDEN = Path(__file__).parent / "golden"
 # The longest integer argparse reads: Python turns at most 4300 digits into an int.
@@ -216,6 +222,10 @@ EXIT_CASES = [
     (["block", "--fixture", "sp4-principal", "--kappa", "1,x"], 2),
     (["block", "--fixture", "sp4-long", "--kappa", "2,1"], 3),
     (["character", "--fixture", "sp4-principal", "--mu", "-3"], 2),
+    # A negative mu without --allow-virtual is refused before any partition
+    # list is built, so a list past MAX_CUTOFF cannot turn it into exit 3.
+    (["character", "--fixture", "sp4-principal", "--cutoff", "10", "--mu=-19990"], 2),
+    (["character", "--fixture", "sp4-principal", "--cutoff", "10", "--mu=-19993"], 2),
     (["socle", "--fixture", "sp4-principal", "--kappa", "3/2,1/2", "--mu", "3"], 2),
     (["socle", "--fixture", "sp4-principal", "--kappa", "3/2,1/2", "--mu", "5"], 2),
     (["iwasawa", "--a", "-1"], 2),
@@ -362,7 +372,163 @@ def test_virtual_character_builds_one_partition_list(capsys, monkeypatch):
     )
 
 
+@pytest.fixture
+def partition_limits(monkeypatch):
+    """The limit of every charseries._partition_counts call, in order."""
+    limits = []
+    counts = charseries._partition_counts
+
+    def counted(weights, limit):
+        limits.append(limit)
+        return counts(weights, limit)
+
+    monkeypatch.setattr(charseries, "_partition_counts", counted)
+    return limits
+
+
+def test_character_builds_one_partition_list(partition_limits, capsys):
+    argv = GOLDEN_COMMANDS["character_sp4-principal_mu3.json"]
+    assert argv[-4:] == ["--mu", "3", "--cutoff", "16"]
+    assert main(argv) == 0
+    assert partition_limits == [16 - 3]
+    assert capsys.readouterr().out == (GOLDEN / "character_sp4-principal_mu3.json").read_text()
+    # A negative mu without --allow-virtual is refused before any list is built.
+    assert main(argv[:-4] + ["--mu", "-3", "--cutoff", "16"]) == 2
+    assert partition_limits == [13]
+
+
+@functools.cache
+def _principal_n_weights(algebra: str) -> tuple[int, ...]:
+    rs = build_root_system(parse_algebra(algebra))
+    return minimal_parabolic(parse_embedding("principal", rs)).n_weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([_label(spec) for spec in ORDER_SPECS]),
+    st.integers(0, 12),
+    st.integers(0, 80),
+    st.integers(1, 3),
+)
+def test_characters_from_one_list_match_brute_partitions(algebra, mu, cutoff, dim_e):
+    out = io.StringIO()
+    argv = [
+        "character", "--algebra", algebra, "--embedding", "principal",
+        "--mu", str(mu), "--cutoff", str(cutoff), "--dim-e", str(dim_e),
+    ]
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    doc = json.loads(out.getvalue())
+    weights = _principal_n_weights(algebra)
+    t_mults = [
+        [x, dim_e * brute_vector_partitions(weights, x - mu - 2)]
+        for x in range(mu + 2, cutoff + 1)
+    ]
+    f1_mults = [
+        [d, dim_e * (brute_vector_partitions(weights, d - mu)
+                     - brute_vector_partitions(weights, d - mu - 2))]
+        for d in range(mu, cutoff + 1)
+    ]
+    assert doc["t_character_N"]["mults"] == [[x, c] for x, c in t_mults if c]
+    assert doc["k_character_F1"]["mults"] == [[d, c] for d, c in f1_mults if c]
+
+
+@pytest.fixture
+def pairs(monkeypatch):
+    """An empty pair memo for this test; returns the dict the CLI fills."""
+    monkeypatch.setattr(cli, "_PAIRS", {})
+    return cli._PAIRS
+
+
+def test_character_calls_share_one_pair(pairs, capsys, monkeypatch):
+    seen = []
+    resolve = cli._resolve_pair
+
+    def recorded(args):
+        seen.append(resolve(args))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "_resolve_pair", recorded)
+    for cutoff in ("10", "20"):
+        argv = ["character", "--algebra", "C4", "--embedding", "principal",
+                "--mu", "2", "--cutoff", cutoff]
+        assert main(argv) == 0
+    (_, emb, p), (_, emb_again, p_again) = seen
+    assert emb_again is emb and p_again is p and p.embedding is emb
+    assert pairs == {((("C", 4),), "principal"): (emb, p)}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "name", ["analyze_sp4-principal.json", "character_sp4-principal_mu3.json"]
+)
+def test_fixture_and_its_spelling_share_one_pair(name, pairs, capsys):
+    golden = (GOLDEN / name).read_text()
+    spelled = json.loads(golden)
+    spelled["pair"].update(fixture=None, summary=None)
+    spelled = json.dumps(spelled, indent=2) + "\n"
+    argv = GOLDEN_COMMANDS[name]
+    fixture = get_fixture(argv[2])
+    by_spec = argv[:1] + ["--algebra", fixture.algebra, "--embedding", fixture.embedding]
+    by_spec += argv[3:]
+    for command, expected in ((by_spec, spelled), (argv, golden), (by_spec, spelled)):
+        assert main(command) == 0
+        assert capsys.readouterr().out == expected
+    assert list(pairs) == [(parse_algebra(fixture.algebra), fixture.embedding)]
+
+
+def test_a_pair_that_fails_to_build_is_not_stored(pairs, capsys):
+    assert main(["analyze", "--fixture", "sp4-principal"]) == 0
+    capsys.readouterr()
+    stored = dict(pairs)
+    argv = ["character", "--algebra", "C2", "--embedding", "root:9,9", "--mu", "0"]
+    runs = []
+    for _ in range(2):
+        runs.append((main(argv), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 2
+    assert runs[0][1].err == "error: NotARoot: (9, 9) is not a root\n"
+    assert pairs == stored
+    assert all(pairs[key] is stored[key] for key in stored)
+
+
+SESSION_POOL = [
+    ["analyze", "--fixture", "sp4-principal"],
+    ["analyze", "--algebra", "C2", "--embedding", "principal", "--format", "table"],
+    ["analyze", "--fixture", "sl3-root", "--lambda-convention", "perp"],
+    ["analyze", "--algebra", "G2", "--embedding", "principal"],
+    ["character", "--fixture", "sp4-principal", "--mu", "3", "--cutoff", "16"],
+    ["character", "--algebra", "C2", "--embedding", "principal", "--mu", "-2",
+     "--allow-virtual", "--cutoff", "12"],
+    ["character", "--algebra", "B4", "--embedding", "root:1,1,0,0", "--mu", "1",
+     "--cutoff", "40", "--dim-e", "2"],
+    ["character", "--fixture", "sl3-principal", "--mu", "-3", "--cutoff", "10"],
+    ["character", "--algebra", "C2", "--embedding", "root:9,9", "--mu", "0"],
+    ["block", "--fixture", "sp4-principal", "--kappa=3/2,1/2"],
+    ["block", "--algebra", "C2", "--embedding", "principal", "--kappa=3/2,1/2"],
+    ["block", "--fixture", "sl3-principal", "--kappa=1,0,-1"],
+    ["socle", "--fixture", "sp4-principal", "--kappa=3/2,1/2", "--mu", "0", "--cutoff", "40"],
+    ["socle", "--algebra", "C2", "--embedding", "principal", "--kappa=3/2,1/2",
+     "--mu", "1", "--cutoff", "30"],
+]
+
+
+def test_one_session_prints_what_fresh_processes_print(pairs):
+    commands = random.Random(16).choices(SESSION_POOL, k=20)
+    assert len({tuple(c) for c in commands}) < len(commands)
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "ghcseries", *argv], capture_output=True, text=True
+        )
+        assert (code, out.getvalue()) == (fresh.returncode, fresh.stdout), argv
+        assert err.getvalue() == fresh.stderr, argv
+
+
 def test_analyze_peels_the_adjoint_character_once(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_PAIRS", {})
     calls = {}
     for name in ("t_character_of_g", "sl2_decomposition"):
         fn = getattr(sl2embed, name)
