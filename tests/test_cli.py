@@ -222,10 +222,6 @@ EXIT_CASES = [
     (["block", "--fixture", "sp4-principal", "--kappa", "1,x"], 2),
     (["block", "--fixture", "sp4-long", "--kappa", "2,1"], 3),
     (["character", "--fixture", "sp4-principal", "--mu", "-3"], 2),
-    # A negative mu without --allow-virtual is refused before any partition
-    # list is built, so a list past MAX_CUTOFF cannot turn it into exit 3.
-    (["character", "--fixture", "sp4-principal", "--cutoff", "10", "--mu=-19990"], 2),
-    (["character", "--fixture", "sp4-principal", "--cutoff", "10", "--mu=-19993"], 2),
     (["socle", "--fixture", "sp4-principal", "--kappa", "3/2,1/2", "--mu", "3"], 2),
     (["socle", "--fixture", "sp4-principal", "--kappa", "3/2,1/2", "--mu", "5"], 2),
     (["iwasawa", "--a", "-1"], 2),
@@ -258,6 +254,10 @@ EXIT_CASES = [
     (["character", "--fixture", "sp4-principal", "--mu", "0", "--dim-e", HUGE,
       "--cutoff", "10"], 3),
     (["socle", "--fixture", "sp4-principal", "--kappa", "3/2,1/2", "--mu", HUGE], 3),
+    # A negative mu without --allow-virtual is refused before any partition
+    # list is built, so a list past MAX_CUTOFF cannot turn it into exit 3.
+    (["character", "--fixture", "sp4-principal", "--cutoff", "10", "--mu=-19990"], 2),
+    (["character", "--fixture", "sp4-principal", "--cutoff", "10", "--mu=-19993"], 2),
 ]
 
 
