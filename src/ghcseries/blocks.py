@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .charseries import ModuleDatumE, f1_k_character
+from . import charseries
+from .charseries import ModuleDatumE
 from .errors import (
     InternalInconsistency,
     InvalidInput,
@@ -365,24 +366,34 @@ def socle_k_character(
     element: BlockElement,
     cutoff: int,
 ) -> SocleCharacterResult:
-    """Alternating combination sum_D p(E, D) ch_k F1(p, D) through cutoff."""
+    """Alternating combination sum_D p(E, D) ch_k F1(p, D) through cutoff.
+
+    Every term is checked before anything is built, in row order; the F1
+    list of D is the prefix through cutoff - mu_D of one partition list
+    through cutoff - min mu_D.
+    """
     try:
         i = matrix.elements.index(element)
     except ValueError:
         raise InvalidInput("element does not belong to this block") from None
     if element.mu < 0:
         raise OutOfRegime(f"socle formula requires mu >= 0, got {element.mu}")
-    accum: dict[int, int] = {}
+    terms = []
     for j, coeff in enumerate(matrix.p_matrix[i]):
         if coeff == 0:
             continue
         d = matrix.elements[j]
         if d.omega.denominator != 1:
             raise InvalidInput("block element carries a non-integral t-weight")
-        term = f1_k_character(
-            p, ModuleDatumE(omega=int(d.omega), dim_e=d.dim_e), cutoff
-        )
-        for delta, c in term.mults.items():
+        E = ModuleDatumE(omega=int(d.omega), dim_e=d.dim_e)
+        terms.append((coeff, charseries._f1_mu(p, E, cutoff), E.dim_e))
+    low = min((mu for _, mu, _ in terms), default=cutoff + 1)
+    counts = charseries._partition_counts(p.n_weights, cutoff - low)
+    accum: dict[int, int] = {}
+    for coeff, mu, dim_e in terms:
+        # A negative stop would keep entries, so clamp it at 0.
+        term = charseries._f1_mults(mu, dim_e, counts[: max(cutoff - mu + 1, 0)])
+        for delta, c in term.items():
             accum[delta] = accum.get(delta, 0) + coeff * c
     if any(c < 0 for c in accum.values()):
         raise InternalInconsistency("socle character went negative")

@@ -50,10 +50,7 @@ def _partition_counts(weights, limit: int) -> list[int]:
     limit gives the empty list; a limit above MAX_CUTOFF raises
     UnsupportedRegime before anything is allocated.
     """
-    if limit > MAX_CUTOFF:
-        raise UnsupportedRegime(
-            f"partition list through {limit} exceeds the ceiling {MAX_CUTOFF}"
-        )
+    _check_ceiling(limit)
     ws = [int(w) for w in weights]
     if any(w <= 0 for w in ws):
         raise InvalidInput("partition weights must be positive")
@@ -62,6 +59,13 @@ def _partition_counts(weights, limit: int) -> list[int]:
         for y in range(w, limit + 1):
             counts[y] += counts[y - w]
     return counts
+
+
+def _check_ceiling(limit: int) -> None:
+    if limit > MAX_CUTOFF:
+        raise UnsupportedRegime(
+            f"partition list through {limit} exceeds the ceiling {MAX_CUTOFF}"
+        )
 
 
 def partition_function(weights, x: int) -> int:
@@ -131,13 +135,20 @@ def f1_k_character(
     character is minus this one; the multiplicity of V(delta) is dim E
     times the first difference of the partition table at delta - mu.
     """
+    mu = _f1_mu(p, E, cutoff)
+    counts = _partition_counts(p.n_weights, cutoff - mu)
+    return KCharacter(_f1_mults(mu, E.dim_e, counts), cutoff=cutoff, virtual=False)
+
+
+def _f1_mu(p: CompatibleParabolic, E: ModuleDatumE, cutoff: int) -> int:
+    """mu of F1(p, E), refused below 0 and where its list would pass MAX_CUTOFF."""
     mu = E.omega + p.two_rho_n_perp
     if mu < 0:
         raise OutOfRegime(
             f"mu = {mu} < 0: lower and upper degrees need not vanish there"
         )
-    counts = _partition_counts(p.n_weights, cutoff - mu)
-    return KCharacter(_f1_mults(mu, E.dim_e, counts), cutoff=cutoff, virtual=False)
+    _check_ceiling(cutoff - mu)
+    return mu
 
 
 def _f1_mults(mu: int, dim_e: int, counts: list[int]) -> dict[int, int]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 
 
@@ -33,13 +34,15 @@ def render_json(doc: dict) -> str:
     """json.dumps(doc, indent=2) + "\n", byte for byte.
 
     With indent set, json.dumps leaves its C encoder for a generator per
-    item; this writer makes one join per list or dict instead.
+    item; this writer makes one join per list or dict instead, and a list
+    of equal-width rows of plain ints is one %-format over all its cells.
     """
     return _json_text(doc, "\n") + "\n"
 
 
 _int = int.__repr__
 _ONLY_INT = frozenset([int])
+_ROWS = frozenset([list, tuple])
 
 
 def _json_text(value, pad: str) -> str:
@@ -49,6 +52,9 @@ def _json_text(value, pad: str) -> str:
         if _ONLY_INT.issuperset(map(type, value)):
             items = map(_int, value)
         else:
+            text = _int_rows_text(value, pad, inner)
+            if text is not None:
+                return text
             items = [_json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(value, dict) and value:
@@ -62,6 +68,23 @@ def _json_text(value, pad: str) -> str:
     # bool, None, float, empty containers, int and str subclasses: json's own text,
     # and its TypeError for anything it cannot encode.
     return json.dumps(value)
+
+
+def _int_rows_text(rows, pad: str, inner: str) -> str | None:
+    """The text of non-empty rows of one width, every cell a plain int; else None.
+
+    Every check runs over C iterators: a per-row Python check would cost
+    as much as the formatting it saves.  %d writes an int as repr does,
+    and raises the same ValueError past the int-to-str digit limit.
+    """
+    if not (_ROWS.issuperset(map(type, rows)) and all(rows) and len(set(map(len, rows))) == 1):
+        return None
+    cells = tuple(chain.from_iterable(rows))
+    if not _ONLY_INT.issuperset(map(type, cells)):
+        return None
+    deeper = inner + "  "
+    row = "[" + deeper + ("," + deeper).join(["%d"] * len(rows[0])) + inner + "]"
+    return ("[" + inner + ("," + inner).join([row] * len(rows)) + pad + "]") % cells
 
 
 def _json_key(key) -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import random
 from fractions import Fraction
@@ -33,14 +34,15 @@ from ghcseries import (
     weyl_group,
 )
 from ghcseries import rootsys
-from ghcseries import blocks
+from ghcseries import blocks, charseries
 from ghcseries.blocks import MAX_IWASAWA_A, _antidominant_point
-from ghcseries.charseries import ModuleDatumE
+from ghcseries.charseries import MAX_CUTOFF, ModuleDatumE
 from ghcseries.fixtures import parse_algebra
 from ghcseries.rootsys import WeylElement
 from oracles import (
     antidominant_orbit_point,
     brute_multiplicity_matrix,
+    brute_vector_partitions,
     integral_positive_roots,
     reflection_closure,
 )
@@ -426,6 +428,72 @@ def test_socle_rows_resum_to_the_series_character():
             )
             assert combo == f1.mult(delta)
             assert socles[i].mult(delta) <= f1.mult(delta)
+
+
+@pytest.fixture
+def partition_limits(monkeypatch):
+    """The limit of every charseries._partition_counts call, in order."""
+    limits = []
+    counts = charseries._partition_counts
+
+    def counted(weights, limit):
+        limits.append(limit)
+        return counts(weights, limit)
+
+    monkeypatch.setattr(charseries, "_partition_counts", counted)
+    return limits
+
+
+# At cutoff 5 the terms at mu 8 and 10 read nothing from the shared list.
+@pytest.mark.parametrize("cutoff", [40, 5])
+def test_socle_builds_one_partition_list_per_call(cutoff, partition_limits):
+    p, kappa = _sp4_block()
+    matrix = multiplicity_matrix(kappa, p)
+    for i, element in enumerate(matrix.elements):
+        partition_limits.clear()
+        socle = socle_k_character(p, matrix, element, cutoff).character
+        terms = [(c, d) for c, d in zip(matrix.p_matrix[i], matrix.elements) if c]
+        # The row is unitriangular, so its smallest mu is the element's own.
+        assert partition_limits == [cutoff - element.mu]
+        expected: dict[int, int] = {}
+        for coeff, d in terms:
+            f1 = f1_k_character(p, ModuleDatumE(omega=int(d.omega), dim_e=d.dim_e), cutoff)
+            for delta, c in f1.mults.items():
+                expected[delta] = expected.get(delta, 0) + coeff * c
+        assert socle.mults == {k: v for k, v in expected.items() if v}
+        brute = {
+            delta: sum(
+                coeff * d.dim_e * (brute_vector_partitions(p.n_weights, delta - d.mu)
+                                   - brute_vector_partitions(p.n_weights, delta - d.mu - 2))
+                for coeff, d in terms
+            )
+            for delta in range(cutoff + 1)
+        }
+        assert socle.mults == {k: v for k, v in brute.items() if v}
+
+
+@pytest.mark.parametrize(
+    "omegas, cutoff, error",
+    [
+        # Row 0 reads its terms at elements 0, 2, 5 and 7, in that order.
+        ({2: Fraction(-21, 2), 5: Fraction(-13)}, 40, InvalidInput),
+        ({2: Fraction(-13), 5: Fraction(-21, 2)}, 40, OutOfRegime),
+        ({5: Fraction(-13)}, MAX_CUTOFF + 1, UnsupportedRegime),
+        # Element 0 at omega 0 reads mu 12, so its own list fits MAX_CUTOFF + 3.
+        ({0: Fraction(0), 2: Fraction(-13)}, MAX_CUTOFF + 3, OutOfRegime),
+        ({0: Fraction(0), 5: Fraction(-21, 2)}, MAX_CUTOFF + 3, UnsupportedRegime),
+    ],
+)
+def test_socle_refuses_a_term_in_row_order_before_any_list(omegas, cutoff, error, partition_limits):
+    """The first term that f1_k_character would refuse decides the error."""
+    p, kappa = _sp4_block()
+    matrix = multiplicity_matrix(kappa, p)
+    elements = tuple(
+        dataclasses.replace(e, omega=omegas.get(j, e.omega)) for j, e in enumerate(matrix.elements)
+    )
+    with pytest.raises(error):
+        socle_k_character(p, dataclasses.replace(matrix, elements=elements), elements[0], cutoff)
+    assert partition_limits == []
 
 
 def test_socle_rejects_foreign_elements_and_negative_mu():

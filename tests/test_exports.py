@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +70,17 @@ def test_one_module_each_knows_the_trace_zero_realization_and_solves_systems():
     """Only rootsys reads the trace-zero families; only parabolic solves a system."""
     assert _modules_where(_names_trace_zero_families) == {"rootsys"}
     assert _modules_where(_imports_linalg) == {"parabolic"}
+
+
+def _third_party_import(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        names = [] if node.level else [node.module]
+    elif isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    else:
+        return False
+    return any(name.split(".")[0] not in sys.stdlib_module_names for name in names)
+
+
+def test_the_library_imports_only_itself_and_the_standard_library():
+    assert _modules_where(_third_party_import) == set()

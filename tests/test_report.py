@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import enum
 import importlib.util
 import json
 from fractions import Fraction
@@ -38,10 +39,10 @@ def oracle(doc) -> str:
 TEXT = st.text(st.characters(), max_size=8) | st.sampled_from(
     ['"', "\\", "\n\t\x00\x1f\x7f", "é中\U0001f600", ""]
 )
+INTS = st.integers() | st.integers(min_value=-(10**300), max_value=10**300)
 LEAVES = (
     TEXT
-    | st.integers()
-    | st.integers(min_value=-(10**300), max_value=10**300)
+    | INTS
     | st.booleans()
     | st.none()
     | st.floats()
@@ -49,11 +50,22 @@ LEAVES = (
 )
 # json turns int, float, bool and None keys into strings.
 KEYS = TEXT | st.integers() | st.floats() | st.booleans() | st.none()
+# Non-empty rows of one width, each a list or a tuple of plain ints: the
+# shape of character pairs and block matrices.
+INT_ROWS = st.integers(1, 4).flatmap(
+    lambda width: st.lists(
+        st.lists(INTS, min_size=width, max_size=width)
+        | st.lists(INTS, min_size=width, max_size=width).map(tuple),
+        min_size=1,
+        max_size=6,
+    )
+)
 DOCS = st.recursive(
     LEAVES,
     lambda inner: (
         st.lists(inner, max_size=5)
         | st.lists(st.integers(), max_size=5)
+        | INT_ROWS
         | st.lists(inner, max_size=3).map(tuple)
         | st.dictionaries(KEYS, inner, max_size=5)
     ),
@@ -64,6 +76,42 @@ DOCS = st.recursive(
 @given(DOCS)
 def test_writer_matches_the_stdlib_encoder(doc):
     assert render_json(doc) == oracle(doc)
+
+
+class Cell(enum.IntEnum):
+    ONE = 1
+
+
+# Rows the one-format path must leave to the recursion (a bool cell prints
+# true, not 1), and rows it takes.
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [[1, 2], [3, True]],
+        [[1, 2], [3, Cell.ONE]],
+        [[1, 2], []],
+        [[], []],
+        [[1], [2, 3]],
+        ((1, 2), (3, 4)),
+        [(1, 2), [3, 4]],
+        {"m": [[1, -2], [0, 10**300]]},
+        [[1, 2], [3, None]],
+        [[1, 2], [3, 4.0]],
+    ],
+    ids=["bool", "int-enum", "empty-row", "empty-rows", "ragged", "tuple-rows",
+         "mixed-rows", "nested", "none", "float"],
+)
+def test_int_rows_fall_back_or_match_the_stdlib(doc):
+    assert render_json(doc) == oracle(doc)
+
+
+@pytest.mark.parametrize("doc", [[[10**5000, 1]], {"m": [[1], [-(10**5000)]]}])
+def test_int_rows_past_the_digit_limit_raise_the_stdlib_value_error(doc):
+    with pytest.raises(ValueError) as expected:
+        oracle(doc)
+    with pytest.raises(ValueError) as raised:
+        render_json(doc)
+    assert str(raised.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("doc", [[], {}, (), [[]], {"a": {}}, [[], {}, ()], [True, 1, False, 0]])
@@ -94,3 +142,22 @@ def test_writer_matches_the_stdlib_encoder_on_a_deep_ladder(alg, emb):
         argv = BENCH.deep_character_argv(alg, emb, BENCH.DEEP_MUS[-1], cutoff)
         doc = cli.cmd_character(parser.parse_args(argv))
         assert render_json(doc) == oracle(doc)
+
+
+SP4_BLOCK = ["--fixture", "sp4-principal", "--kappa", "3/2,1/2"]
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["socle", *SP4_BLOCK, "--mu", "0", "--cutoff", str(BENCH.DEEP_SOCLE_CUTOFF)],
+         cli.cmd_socle),
+        (["block", *SP4_BLOCK], cli.cmd_block),
+    ],
+    ids=["deep-socle", "block"],
+)
+def test_writer_matches_the_stdlib_encoder_on_socle_and_block_documents(argv, command):
+    doc = command(cli.build_parser().parse_args(argv))
+    rows = doc["character"]["mults"] if "character" in doc else doc["m_matrix"] + doc["p_matrix"]
+    assert len(rows) > 8 and all(type(c) is int for row in rows for c in row)
+    assert render_json(doc) == oracle(doc)
