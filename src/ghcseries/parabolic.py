@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import InternalInconsistency, InvalidInput
 from .linalg import solve_unique
-from .rootsys import Weight, _half_sum, inner_product, lex_positive
+from .rootsys import Weight, _half_sum, _int_coords, inner_product, lex_positive
 from .sl2embed import Sl2Embedding
 
 
@@ -68,8 +68,8 @@ def minimal_parabolic(e: Sl2Embedding) -> CompatibleParabolic:
             graded.append((v, alpha))
         elif v == 0:
             m_roots.append(alpha)
-    graded.sort(key=lambda pair: (pair[0], pair[1].coords))
-    m_roots.sort(key=lambda a: a.coords)
+    graded.sort(key=lambda pair: (pair[0], _int_coords(pair[1])))
+    m_roots.sort(key=_int_coords)
     n_roots = tuple(alpha for _, alpha in graded)
     n_weights = tuple(v for v, _ in graded)
     if not n_roots:

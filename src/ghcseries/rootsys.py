@@ -7,11 +7,14 @@ factor straight into its block of the ambient coordinates.  The simple
 roots of A, B, C and D start with the chain e_i - e_{i+1}, which B ends
 with e_n, C with 2e_n and D with e_{n-1} + e_n.  B, C and D share the
 roots +-e_i +- e_j; B adds +-e_i and C adds +-2e_i.  G2 lists its six
-positive roots in a trace-zero realization in Q^3.  All arithmetic is
-over Fraction; no floating point anywhere.  A Weyl group is built once
-per process for each simple system, in one closure pass that also gives
-the element lengths and the left-multiplication table its Bruhat order
-reads.
+positive roots in a trace-zero realization in Q^3.  Every root
+coordinate is an integer in these realizations, and build_root_system
+checks it: the root arithmetic of pair construction (_int_coords,
+_half_sum) runs on those integers.  Weights, and every weight the library
+returns, keep exact Fraction coordinates; no floating point anywhere.  A
+Weyl group is built once per process for each simple system, in one
+closure pass that also gives the element lengths and the
+left-multiplication table its Bruhat order reads.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -91,10 +95,19 @@ def coroot_pairing(lam: Weight, alpha: Weight) -> Fraction:
 
 
 def lex_positive(w: Weight) -> bool:
+    # A Fraction carries its sign on the numerator.
     for c in w.coords:
-        if c != 0:
-            return c > 0
+        if c.numerator:
+            return c.numerator > 0
     return False
+
+
+_numerator = attrgetter("numerator")
+
+
+def _int_coords(root: Weight) -> tuple[int, ...]:
+    """The coordinates of a root as ints (they are integers, see build_root_system)."""
+    return tuple(map(_numerator, root.coords))
 
 
 def _factor_roots(family: str, dim: int, offset: int, ambient: int):
@@ -173,9 +186,6 @@ class RootSystem:
                 order *= 12
         return order
 
-    def is_root(self, w: Weight) -> bool:
-        return w.coords in {r.coords for r in self.roots}
-
 
 def build_root_system(spec: Iterable[tuple[str, int]]) -> RootSystem:
     """Build the direct sum of the listed (family, rank) factors."""
@@ -210,6 +220,8 @@ def build_root_system(spec: Iterable[tuple[str, int]]) -> RootSystem:
         roots += factor_roots
         offset += dim
 
+    if any(c.denominator != 1 for r in roots for c in r.coords):
+        raise InternalInconsistency("root coordinates are not all integers")
     positive = tuple(r for r in roots if lex_positive(r))
     if 2 * len(positive) != len(roots):
         raise InternalInconsistency("positive roots are not half of all roots")
@@ -225,11 +237,10 @@ def build_root_system(spec: Iterable[tuple[str, int]]) -> RootSystem:
     )
 
 
-def _half_sum(weights: Sequence[Weight], ambient: int) -> Weight:
-    total = Weight(tuple(Fraction(0) for _ in range(ambient)))
-    for w in weights:
-        total = total + w
-    return total.scaled(Fraction(1, 2))
+def _half_sum(roots: Sequence[Weight], ambient: int) -> Weight:
+    """Half the sum of the given roots, added up as ints and halved once."""
+    sums = list(map(sum, zip(*map(_int_coords, roots)))) or [0] * ambient
+    return Weight(tuple(Fraction(c, 2) for c in sums))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import (
     InternalInconsistency,
@@ -24,7 +26,7 @@ from .errors import (
     WindowTooNarrow,
 )
 from .report import rational
-from .rootsys import RootSystem, Weight, inner_product
+from .rootsys import RootSystem, Weight, _int_coords, inner_product
 
 
 @dataclass(frozen=True)
@@ -155,14 +157,18 @@ def from_defining_vector(rs: RootSystem, h) -> Sl2Embedding:
 
 
 def _validated(rs: RootSystem, h_vec: Weight, kind: str) -> Sl2Embedding:
+    # alpha(h) = <alpha, h_num> / den over integral roots: one int dot
+    # product and one divisibility test per root.
+    den = lcm(*(c.denominator for c in h_vec.coords))
+    h_num = [c.numerator * (den // c.denominator) for c in h_vec.coords]
     values = []
     for alpha in rs.roots:
-        v = inner_product(alpha, h_vec)
-        if v.denominator != 1:
+        v = sum(map(mul, _int_coords(alpha), h_num))
+        if v % den:
             raise NonIntegralGrading(
-                f"root {_point(alpha)} evaluates to non-integer {v}"
+                f"root {_point(alpha)} evaluates to non-integer {Fraction(v, den)}"
             )
-        values.append(int(v))
+        values.append(v // den)
     e = Sl2Embedding(rs, h_vec, kind, tuple(values), decomposition=None)
     ch = t_character_of_g(e)
     if ch.mult(2) < 1:
@@ -177,24 +183,26 @@ def from_principal(rs: RootSystem) -> Sl2Embedding:
     Every simple root is 2 on it (Kostant, The principal three-dimensional
     subgroup..., 1959), and it lies in the span of the roots, which fixes it.
     """
-    h = [Fraction(0)] * rs.ambient
-    # A root has two or three nonzero coordinates: skip the zeros' Fraction work.
-    for alpha in rs.positive_roots:
-        support = [(i, x) for i, x in enumerate(alpha.coords) if x]
-        c = 2 / sum(x * x for _, x in support)
-        for i, x in support:
-            h[i] += c * x
-    return _validated(rs, Weight(tuple(h)), kind="principal")
+    norms = [sum(c * c for c in _int_coords(alpha)) for alpha in rs.positive_roots]
+    den = lcm(*norms)
+    h = [0] * rs.ambient
+    for alpha, norm in zip(rs.positive_roots, norms):
+        scale = 2 * den // norm
+        for i, c in enumerate(_int_coords(alpha)):
+            h[i] += scale * c
+    return _validated(rs, Weight(tuple(Fraction(c, den) for c in h)), kind="principal")
 
 
 def from_root(rs: RootSystem, beta) -> Sl2Embedding:
     """Embedding generated by the root spaces of +-beta; h is the coroot."""
     beta_w = beta if isinstance(beta, Weight) else Weight.of(*beta)
-    if not rs.is_root(beta_w):
-        raise NotARoot(f"{_point(beta_w)} is not a root")
+    try:
+        index = rs.roots.index(beta_w)
+    except ValueError:
+        raise NotARoot(f"{_point(beta_w)} is not a root") from None
     h_vec = beta_w.scaled(Fraction(2) / inner_product(beta_w, beta_w))
     emb = _validated(rs, h_vec, kind="root")
-    if emb.grading[rs.roots.index(beta_w)] != 2:
+    if emb.grading[index] != 2:
         raise InternalInconsistency("coroot normalization failed")
     return emb
 

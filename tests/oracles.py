@@ -9,10 +9,11 @@ lengths, root systems as the closure of their simple roots under their own
 reflections, the principal defining vector by exact elimination on
 alpha_i(h) = 2, antidominant orbit points by a scan of the whole orbit,
 block multiplicity matrices from those with every placement found by a full
-scan, exterior-power weights from itertools.combinations, and first-page
+scan, exterior-power weights from itertools.combinations, first-page
 dimensions from those weights and the n_k-cohomology windows written out by
-hand.  Nothing is imported from the library but its error classes and the
-WeylElement record the group oracles return.
+hand, and the grading, parabolic and half sums of a pair by Fraction
+arithmetic on coordinate tuples.  Nothing is imported from the library but
+its error classes and the WeylElement record the group oracles return.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def simple_root_closure(simple_roots) -> frozenset[tuple]:
 
 def lex_positive_half(roots) -> tuple:
     """The roots whose first nonzero coordinate is positive, in the given order."""
-    return tuple(r for r in roots if next(c for c in r.coords if c) > 0)
+    return tuple(r for r in roots if _lex_positive(r.coords))
 
 
 def indecomposable_roots(positive_roots) -> tuple:
@@ -335,3 +336,64 @@ def brute_multiplicity_matrix(elements, p) -> tuple[tuple[tuple[int, ...], ...],
         for point_e, x_e, below_e in found
     )
     return m_matrix, orbit_ids
+
+
+def _fraction_dot(a, b) -> Fraction:
+    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+
+
+def _fraction_half_sum(vectors, ambient: int) -> tuple[Fraction, ...]:
+    total = [Fraction(0)] * ambient
+    for v in vectors:
+        total = [t + Fraction(x) for t, x in zip(total, v)]
+    return tuple(t / 2 for t in total)
+
+
+def _lex_positive(v) -> bool:
+    return next((Fraction(c) > 0 for c in v if Fraction(c) != 0), False)
+
+
+def fraction_coroot(beta) -> tuple[Fraction, ...]:
+    """2 beta / <beta, beta>."""
+    scale = Fraction(2) / _fraction_dot(beta, beta)
+    return tuple(scale * Fraction(c) for c in beta)
+
+
+def fraction_coroot_sum(roots) -> tuple[Fraction, ...]:
+    """2 rho^vee: the coroots of the lexicographically positive roots, added up."""
+    total = [Fraction(0)] * len(roots[0])
+    for alpha in filter(_lex_positive, roots):
+        total = [t + c for t, c in zip(total, fraction_coroot(alpha))]
+    return tuple(total)
+
+
+def fraction_pair(roots, h) -> SimpleNamespace:
+    """What a pair reads off its roots (coordinate tuples) and defining vector h.
+
+    grading[i] = <roots[i], h> as an int, or None when some value is not an
+    integer; first_non_integral is then the first such (root, value).  n
+    holds the roots with a positive value, sorted by (value, coordinates),
+    and m the roots with value 0, sorted by coordinates; rho_tilde and
+    rho_tilde_n are half the sums over the lexicographically positive roots
+    and over n, and rho_tilde_adapted adds half the sum over the
+    lexicographically positive part of m to rho_tilde_n.
+    """
+    roots = [tuple(Fraction(c) for c in r) for r in roots]
+    ambient = len(h)
+    values = [_fraction_dot(r, h) for r in roots]
+    bad = [(r, v) for r, v in zip(roots, values) if v.denominator != 1]
+    grading = None if bad else tuple(int(v) for v in values)
+    n = sorted((v, r) for v, r in zip(values, roots) if v > 0)
+    m = sorted(r for v, r in zip(values, roots) if v == 0)
+    rho_tilde_n = _fraction_half_sum([r for _, r in n], ambient)
+    m_half = _fraction_half_sum(filter(_lex_positive, m), ambient)
+    return SimpleNamespace(
+        grading=grading,
+        first_non_integral=bad[0] if bad else None,
+        rho_tilde=_fraction_half_sum(filter(_lex_positive, roots), ambient),
+        n_roots=tuple(r for _, r in n),
+        n_weights=tuple(int(v) for v, _ in n),
+        m_roots=tuple(m),
+        rho_tilde_n=rho_tilde_n,
+        rho_tilde_adapted=tuple(a + b for a, b in zip(rho_tilde_n, m_half)),
+    )

@@ -258,6 +258,9 @@ EXIT_CASES = [
     # list is built, so a list past MAX_CUTOFF cannot turn it into exit 3.
     (["character", "--fixture", "sp4-principal", "--cutoff", "10", "--mu=-19990"], 2),
     (["character", "--fixture", "sp4-principal", "--cutoff", "10", "--mu=-19993"], 2),
+    # Two 50-digit denominators: the grading's common denominator has 100.
+    (["analyze", "--algebra", "C2", "--embedding",
+      f"vector:1/{3 * 10**49 + 1},1/{7 * 10**49 + 3}"], 2),
 ]
 
 
@@ -267,6 +270,16 @@ def test_error_exit_codes(args, code, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Fraction(" not in err
+
+
+def test_non_integral_grading_names_the_root_and_its_exact_value(capsys):
+    assert main(EXIT_CASES[-1][0]) == 2
+    assert capsys.readouterr().err == (
+        "error: NonIntegralGrading: root (1, 1) evaluates to non-integer "
+        "100000000000000000000000000000000000000000000000004/"
+        "21000000000000000000000000000000000000000000000001"
+        "60000000000000000000000000000000000000000000000003\n"
+    )
 
 
 def test_rational_ceiling_counts_text_digits_and_the_exponent(capsys):
@@ -661,9 +674,8 @@ def cli_calls(draw):
         elif kind == "root":
             embedding = "root:" + _text(draw(st.sampled_from(rs.roots)).coords)
         else:
-            vector = draw(
-                st.lists(st.integers(-4, 4), min_size=rs.ambient, max_size=rs.ambient)
-            )
+            entries = st.one_of(st.integers(-4, 4), small_rationals)
+            vector = draw(st.lists(entries, min_size=rs.ambient, max_size=rs.ambient))
             embedding = "vector:" + _text(vector)
         argv = [command, "--algebra", algebra, "--embedding", embedding]
     mu = ["--mu", str(draw(st.integers(-3, 12)))]

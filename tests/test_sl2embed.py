@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -27,7 +28,12 @@ from ghcseries import (
     t_character_of_g,
 )
 from ghcseries.sl2embed import expand_decomposition
-from oracles import principal_defining_vector
+from oracles import (
+    fraction_coroot,
+    fraction_coroot_sum,
+    fraction_pair,
+    principal_defining_vector,
+)
 from test_rootsys import ORDER_SPECS, _label
 
 
@@ -119,6 +125,67 @@ def _assert_grading_is_inner_products(emb):
 )
 def test_principal_grading_matches_inner_products(spec):
     _assert_grading_is_inner_products(from_principal(build_root_system(spec)))
+
+
+def _typed(values) -> list:
+    return [(type(v), v) for v in values]
+
+
+def _assert_pair_matches_the_fraction_oracle(emb, h):
+    """emb and its parabolic against fraction_pair, in value and exact type."""
+    rs = emb.rs
+    want = fraction_pair([a.coords for a in rs.roots], h)
+    assert _typed(emb.h_vector.coords) == _typed(h)
+    assert _typed(emb.grading) == _typed(want.grading)
+    assert _typed(rs.rho_tilde.coords) == _typed(want.rho_tilde)
+    p = minimal_parabolic(emb)
+    assert [_typed(a.coords) for a in p.n_roots] == [_typed(a) for a in want.n_roots]
+    assert [_typed(a.coords) for a in p.m_roots] == [_typed(a) for a in want.m_roots]
+    assert _typed(p.n_weights) == _typed(want.n_weights)
+    assert _typed(p.rho_tilde_n.coords) == _typed(want.rho_tilde_n)
+    assert _typed(p.rho_tilde_adapted.coords) == _typed(want.rho_tilde_adapted)
+
+
+def _reflected(v, alpha):
+    """s_alpha(v) = v - <v, alpha> alpha^vee, in Fractions."""
+    pairing = sum(a * x for a, x in zip(alpha, v))
+    return tuple(x - pairing * c for x, c in zip(v, fraction_coroot(alpha)))
+
+
+@pytest.mark.parametrize("spec", UP_TO_RANK_4, ids=_label)
+def test_pair_construction_matches_the_fraction_oracle(spec):
+    rs = build_root_system(spec)
+    roots = [a.coords for a in rs.roots]
+    principal = from_principal(rs)
+    _assert_pair_matches_the_fraction_oracle(principal, fraction_coroot_sum(roots))
+    for beta in rs.positive_roots:
+        _assert_pair_matches_the_fraction_oracle(
+            from_root(rs, beta), fraction_coroot(beta.coords)
+        )
+    # Weyl conjugates of the principal h and of coroots, with trace-zero
+    # blocks shifted by a constant, are valid defining vectors with
+    # Fraction entries.  Every root coordinate is 0, +-1 or +-2, and every
+    # coordinate is nonzero on some root, so moving one entry by 1/4 makes
+    # a root non-integral.
+    rng = random.Random(_label(spec))
+    for _ in range(4):
+        h = rng.choice([principal.h_vector.coords, fraction_coroot(rng.choice(roots))])
+        for _ in range(rng.randint(1, 3)):
+            h = _reflected(h, rng.choice(roots))
+        h = list(h)
+        for (fam, _), (lo, hi) in zip(rs.type_label, rs.factor_slices):
+            if fam in "AG":
+                shift = rng.choice([Fraction(1, 2), Fraction(-1, 3), Fraction(2, 7)])
+                h[lo:hi] = [c + shift for c in h[lo:hi]]
+        h = tuple(h)
+        _assert_pair_matches_the_fraction_oracle(from_defining_vector(rs, h), h)
+        k = rng.randrange(rs.ambient)
+        bad = h[:k] + (h[k] + Fraction(1, 4),) + h[k + 1 :]
+        root, value = fraction_pair(roots, bad).first_non_integral
+        with pytest.raises(NonIntegralGrading) as info:
+            from_defining_vector(rs, bad)
+        point = ", ".join(str(c) for c in root)
+        assert str(info.value) == f"root ({point}) evaluates to non-integer {value}"
 
 
 def test_fixture_grading_matches_inner_products(pair):
