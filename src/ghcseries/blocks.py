@@ -11,14 +11,19 @@ inverting the matrix.  The Bruhat order itself (rootsys.bruhat_leq_over,
 read in the shared WeylGroup of a linkage class) works at any rank; above
 total rank 2 the Kazhdan-Lusztig corrections are not computed, so the
 matrix is refused there with UnsupportedRank.  A linkage class is placed
-from its antidominant point, reached by simple reflections.
+from its antidominant point, reached by simple reflections.  Orbits,
+coroot pairings and placements are computed on int vectors over one
+common denominator (rootsys._orbit and _scale); every returned weight and
+t-weight is built once, with Fraction coordinates.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import add, itemgetter, mul
 
 from . import charseries
 from .charseries import ModuleDatumE
@@ -42,9 +47,15 @@ from .rootsys import (
     Weight,
     WeylElement,
     WeylGroup,
+    _check_dim,
+    _int_coords,
+    _int_pairing,
+    _int_root,
+    _orbit,
+    _scale,
+    _scaled,
+    _unscaled,
     bruhat_leq_over,
-    coroot_pairing,
-    inner_product,
     project_trace_zero,
     reflection_group,
     weyl_group,
@@ -68,22 +79,33 @@ def central_character_from_kappa(kappa: Weight, rs: RootSystem) -> CentralCharac
 
     The trace-ambiguous block coordinates are projected to mean zero
     first, so parameters that agree against every root are identified.
+    The orbit and the coroot pairings are computed in ints at one scale.
     """
     _check_kappa_length(kappa, rs)
     base = project_trace_zero(kappa, rs)
     group = weyl_group(rs)
-    orbit = {w.apply(base).coords for w in group}
-    representative = Weight(max(orbit))
-    integral = all(
-        coroot_pairing(base, alpha).denominator == 1 for alpha in rs.roots
-    )
+    scale = _scale(rs.simple_roots, base)
+    images = _orbit(group, _scaled(base, scale))
+    orbit = set(images)
+    representative = _unscaled(max(orbit), scale)
+    integral = _integral_roots(images[0], scale, rs.positive_roots)
     return CentralCharacter(
         rs=rs,
         representative=representative,
         regular=len(orbit) == len(group),
-        integral=integral,
+        integral=len(integral) == len(rs.positive_roots),
         orbit_size=len(orbit),
     )
+
+
+def _integral_roots(x: tuple[int, ...], scale: int, roots) -> list[Weight]:
+    """The roots alpha with <x / scale, alpha^vee> an int, in the given order."""
+    found = []
+    for alpha in roots:
+        a, norm = _int_root(alpha)
+        if 2 * sum(map(mul, x, a)) % (norm * scale) == 0:
+            found.append(alpha)
+    return found
 
 
 def _check_kappa_length(kappa: Weight, rs: RootSystem) -> None:
@@ -124,43 +146,46 @@ def enumerate_block(
             raise UnsupportedLevi(
                 "Levi semisimple part beyond one sl(2) is not supported"
             )
-        gamma = p.m_positive_roots[0]
+        gamma = _int_root(p.m_positive_roots[0])
 
-    shift = p.two_rho_n_perp
-    seen: dict[tuple, tuple[WeylElement, int]] = {}
-    for w in weyl_group(rs):
-        nu = w.apply(kappa.representative) - p.rho_tilde_adapted
-        key = nu.coords
-        if key in seen:
-            rep, count = seen[key]
-            seen[key] = (rep, count + 1)
-        else:
-            seen[key] = (w, 1)
+    # Merge w(kappa) by value over int images; the first w in group order stays.
+    group = weyl_group(rs)
+    scale = _scale(rs.simple_roots, kappa.representative, p.rho_tilde_adapted)
+    images = _orbit(group, _scaled(kappa.representative, scale))
+    first: dict[tuple, WeylElement] = {}
+    for w, x in zip(group, images):
+        first.setdefault(x, w)
 
-    elements = []
-    for key, (w, count) in seen.items():
-        nu = Weight(key)
-        omega = inner_product(nu, p.embedding.h_vector)
-        mu = omega + shift
+    # omega = <nu, h> over the scale of nu times h's common denominator.
+    h = p.embedding.h_vector
+    h_scale = _scale((), h)
+    h_ints = _scaled(h, h_scale)
+    omega_scale = scale * h_scale
+    shift = p.two_rho_n_perp * omega_scale
+    rho = _scaled(p.rho_tilde_adapted, scale)
+    keyed = []
+    for x, count in Counter(images).items():
+        nu = tuple([a - b for a, b in zip(x, rho)])
+        omega = sum(map(mul, nu, h_ints))
+        dim_e = 1
         if gamma is not None:
-            pairing = coroot_pairing(nu, gamma)
-            if pairing.denominator != 1 or pairing < 0:
+            pairing, r = divmod(2 * sum(map(mul, nu, gamma[0])), gamma[1] * scale)
+            if r or pairing < 0:
                 continue
-            dim_e = int(pairing) + 1
-        else:
-            dim_e = 1
-        elements.append(
-            BlockElement(
-                w=w,
-                nu=nu,
-                omega=omega,
-                mu=mu,
-                dim_e=dim_e,
-                merged_count=count,
-            )
+            dim_e = pairing + 1
+        keyed.append((omega + shift, nu, omega, dim_e, first[x], count))
+    keyed.sort(key=itemgetter(0, 1))
+    return tuple(
+        BlockElement(
+            w=w,
+            nu=_unscaled(nu, scale),
+            omega=Fraction(omega, omega_scale),
+            mu=Fraction(mu, omega_scale),
+            dim_e=dim_e,
+            merged_count=count,
         )
-    elements.sort(key=lambda e: (e.mu, e.nu.coords))
-    return tuple(elements)
+        for mu, nu, omega, dim_e, w, count in keyed
+    )
 
 
 def integral_weyl_subgroup(
@@ -176,20 +201,18 @@ def integral_weyl_subgroup(
     rootsys.reflection_group keeps for that simple system, as weyl_group's
     is for the full one.
     """
+    _check_dim(kappa, rs.roots[0])
     base = rs.positive_roots if positive_roots is None else tuple(positive_roots)
-    integral = tuple(
-        alpha
-        for alpha in rs.roots
-        if coroot_pairing(kappa, alpha).denominator == 1
-    )
-    integral_set = {alpha.coords for alpha in integral}
-    positives = tuple(alpha for alpha in base if alpha.coords in integral_set)
-    if 2 * len(positives) != len(integral):
+    scale = _scale((), kappa)
+    x = _scaled(kappa, scale)
+    positives = _integral_roots(x, scale, base)
+    if 2 * len(positives) != len(_integral_roots(x, scale, rs.roots)):
         raise InternalInconsistency(
             "positive system does not split the integral roots in half"
         )
-    sums = {(a + b).coords for a, b in combinations(positives, 2)}
-    simples = tuple(alpha for alpha in positives if alpha.coords not in sums)
+    ints = [_int_coords(alpha) for alpha in positives]
+    sums = {tuple(map(add, a, b)) for a, b in combinations(ints, 2)}
+    simples = tuple(alpha for alpha, a in zip(positives, ints) if a not in sums)
     group = reflection_group(simples, rs.ambient)
     if group[-1].length != len(positives):
         raise InternalInconsistency("longest length is not the integral root count")
@@ -215,17 +238,23 @@ def _antidominant_point(point: Weight, group: WeylGroup) -> Weight:
     """The one point of point's regular orbit that pairs negatively with
     every simple root of group, and so with every positive root.
 
-    Reached by reflecting in a simple root that pairs positively, at most
-    once per positive root, with no orbit built (Humphreys, Reflection
-    Groups and Coxeter Groups, 1.12).  A zero pairing: the orbit is singular.
+    Reached by reflecting in the first simple root that pairs positively,
+    at most once per positive root, with no orbit built (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.12); the walk runs in ints at
+    _scale.  A zero pairing: the orbit is singular.
     """
-    pairings = [coroot_pairing(point, a) for a in group.simple_roots]
-    if 0 in pairings:
-        raise InternalInconsistency("regular orbit produced a zero pairing")
-    for alpha, c in zip(group.simple_roots, pairings):
-        if c > 0:
-            return _antidominant_point(point - alpha.scaled(c), group)
-    return point
+    roots = [_int_root(a) for a in group.simple_roots]
+    scale = _scale(group.simple_roots, point)
+    x = _scaled(point, scale)
+    while True:
+        pairings = [_int_pairing(x, root) for root in roots]
+        if 0 in pairings:
+            raise InternalInconsistency("regular orbit produced a zero pairing")
+        step = next(((a, c) for (a, _), c in zip(roots, pairings) if c > 0), None)
+        if step is None:
+            return _unscaled(x, scale)
+        a, c = step
+        x = tuple([u - c * v for u, v in zip(x, a)])
 
 
 def _check_matrix_regime(p: CompatibleParabolic) -> None:
@@ -254,7 +283,13 @@ def multiplicity_matrix(
     rs = p.embedding.rs
 
     elements = enumerate_block(kappa, p)
-    keys = [-(e.nu + p.rho_tilde_adapted) for e in elements]
+    # Every key -(nu + rho_tilde_adapted) = -w(kappa) is an int vector at the
+    # block's scale, and so is every point of its linkage class.
+    scale = _scale(rs.simple_roots, kappa.representative, p.rho_tilde_adapted)
+    rho = _scaled(p.rho_tilde_adapted, scale)
+    keys = [
+        tuple([-(a + b) for a, b in zip(_scaled(e.nu, scale), rho)]) for e in elements
+    ]
 
     # One dict per linkage class: each point of the class -> the element of
     # the class's integral group that places the antidominant point there.
@@ -262,13 +297,12 @@ def multiplicity_matrix(
     orbit_ids = []
     placements = []
     for key in keys:
-        cid = next(
-            (c for c, (_, placed) in enumerate(classes) if key.coords in placed), None
-        )
+        cid = next((c for c, (_, placed) in enumerate(classes) if key in placed), None)
         if cid is None:
-            group = integral_weyl_subgroup(key, rs, p.adapted_positive_roots)
-            antidominant = _antidominant_point(key, group)
-            placed = {x.apply(antidominant).coords: x for x in group}
+            point = _unscaled(key, scale)
+            group = integral_weyl_subgroup(point, rs, p.adapted_positive_roots)
+            antidominant = _scaled(_antidominant_point(point, group), scale)
+            placed = dict(zip(_orbit(group, antidominant), group))
             if len(placed) != len(group):
                 raise InternalInconsistency(
                     "expected a unique placement in the integral group, got "
@@ -277,7 +311,7 @@ def multiplicity_matrix(
             cid = len(classes)
             classes.append((group, placed))
         orbit_ids.append(cid)
-        placements.append(classes[cid][1][key.coords])
+        placements.append(classes[cid][1][key])
 
     n = len(elements)
     m_rows = []

@@ -6,7 +6,8 @@ an aligned table; identical inputs produce byte-identical output.
 
 Each (g, sl(2)) pair is built once per process: the first call that names
 it builds the embedding and its minimal parabolic, and every later call,
-whichever spelling it uses, shares them.
+whichever spelling it uses, shares them.  The pairs of one algebra share
+one root system, also built once per process.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .fixtures import (
 )
 from .parabolic import bounds_report, invariants, minimal_parabolic
 from .report import character_pairs, rational, render_json, render_table, weight_coords
-from .rootsys import Weight, build_root_system
+from .rootsys import RootSystem, Weight, build_root_system
 from .sl2embed import TruncatedTCharacter, is_regular
 
 DEFAULT_CUTOFF = 60
@@ -136,10 +137,13 @@ def _bounded(value: int, option: str) -> int:
     return value
 
 
-# (parsed algebra, embedding text) -> (embedding, its minimal parabolic), built
-# at most once per process.  Every call that names the pair gets the same two
-# objects; treat them as immutable.  A build that raises is not stored.
+# (parsed algebra, embedding text) -> (embedding, its minimal parabolic), and
+# parsed algebra -> its root system, each built at most once per process: the
+# embeddings of one algebra share its root system.  Every call that names the
+# pair gets the same objects; treat them as immutable.  A build that raises
+# is not stored.
 _PAIRS: dict[tuple, tuple] = {}
+_ROOT_SYSTEMS: dict[tuple, RootSystem] = {}
 
 
 def _resolve_pair(args):
@@ -157,7 +161,10 @@ def _resolve_pair(args):
     spec = parse_algebra(algebra)
     built = _PAIRS.get((spec, embedding))
     if built is None:
-        emb = parse_embedding(embedding, build_root_system(spec))
+        rs = _ROOT_SYSTEMS.get(spec)
+        if rs is None:
+            rs = _ROOT_SYSTEMS[spec] = build_root_system(spec)
+        emb = parse_embedding(embedding, rs)
         built = _PAIRS[spec, embedding] = (emb, minimal_parabolic(emb))
     emb, p = built
     pair.update(

@@ -13,16 +13,20 @@ checks it: the root arithmetic of pair construction (_int_coords,
 _half_sum) runs on those integers.  Weights, and every weight the library
 returns, keep exact Fraction coordinates; no floating point anywhere.  A
 Weyl group is built once per process for each simple system, in one
-closure pass that also gives the element lengths and the
-left-multiplication table its Bruhat order reads.
+closure pass that also gives the element lengths, the
+left-multiplication table its Bruhat order reads and the BFS parent of
+every element.  _orbit reads a weight's whole orbit off those parents,
+one reflection per element, in ints: the weight is scaled by _scale, the
+lcm of its denominators times the lcm of the root norms, which keeps
+every reflection step exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from operator import attrgetter
+from math import factorial, lcm
+from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -295,14 +299,17 @@ class WeylGroup:
 
     elements are sorted by (length, matrix); index maps each matrix to its
     position there, and left[k][i] is the position of s_k times element i,
-    s_k the reflection in simple_roots[k].  Groups are shared and compared
-    by identity.
+    s_k the reflection in simple_roots[k].  parents[j] = (k, i) says that
+    the closure first found element j as s_k times element i, so i < j;
+    the identity, element 0, has parent None.  Groups are shared and
+    compared by identity.
     """
 
     simple_roots: tuple[Weight, ...]
     elements: tuple[WeylElement, ...]
     index: dict
     left: tuple[tuple[int, ...], ...]
+    parents: tuple[tuple[int, int] | None, ...]
 
     def __iter__(self):
         return iter(self.elements)
@@ -329,16 +336,17 @@ def generate_group(generators: Sequence[Weight], ambient: int) -> WeylGroup:
     # Matrices are numbered as found; products and depths refer to those
     # numbers, so each product is hashed once.
     found = {ident: 0}
-    mats, depth = [ident], [0]
+    mats, depth, parent = [ident], [0], [None]
     products: list[list[int]] = [[] for _ in gen_mats]
     for k, m in enumerate(mats):  # mats grows while it is read: breadth first
-        for g, row in zip(gen_mats, products):
+        for g_index, (g, row) in enumerate(zip(gen_mats, products)):
             prod = _mat_mul(g, m)
             number = found.get(prod)
             if number is None:
                 number = found[prod] = len(mats)
                 mats.append(prod)
                 depth.append(depth[k] + 1)
+                parent.append((g_index, k))
             row.append(number)
     order = sorted(range(len(mats)), key=lambda k: (depth[k], mats[k]))
     position = {k: i for i, k in enumerate(order)}
@@ -348,7 +356,64 @@ def generate_group(generators: Sequence[Weight], ambient: int) -> WeylGroup:
         elements=elements,
         index={w.matrix: i for i, w in enumerate(elements)},
         left=tuple(tuple(position[row[k]] for k in order) for row in products),
+        parents=tuple(
+            None if parent[k] is None else (parent[k][0], position[parent[k][1]])
+            for k in order
+        ),
     )
+
+
+def _int_root(root: Weight) -> tuple[tuple[int, ...], int]:
+    """A root's coordinates as ints and its norm <root, root>."""
+    coords = _int_coords(root)
+    return coords, sum(c * c for c in coords)
+
+
+def _scale(simple_roots: Iterable[Weight], *weights: Weight) -> int:
+    """D = lcm of the weights' coordinate denominators * lcm of the root norms.
+
+    For every root beta of the group of simple_roots, D * <w(v), beta^vee>
+    = 2 (lcm(norms) / <beta, beta>) <lcm(dens) v, w^-1 beta> is an int, so
+    at scale D each reflection step of _orbit is exact.
+    """
+    dens = (c.denominator for w in weights for c in w.coords)
+    return lcm(*dens) * lcm(*(_int_root(a)[1] for a in simple_roots))
+
+
+def _scaled(w: Weight, scale: int) -> tuple[int, ...]:
+    """scale * w as ints; scale must clear every denominator of w."""
+    if any(scale % c.denominator for c in w.coords):
+        raise InternalInconsistency(f"scale {scale} does not clear a coordinate denominator")
+    return tuple(c.numerator * (scale // c.denominator) for c in w.coords)
+
+
+def _unscaled(x: Sequence[int], scale: int) -> Weight:
+    """The weight x / scale, with Fraction coordinates."""
+    return Weight(tuple(Fraction(c, scale) for c in x))
+
+
+def _int_pairing(x: Sequence[int], root: tuple[tuple[int, ...], int]) -> int:
+    """<x, alpha^vee> for an int vector x and an _int_root; raises unless it is an int."""
+    alpha, norm = root
+    c, r = divmod(2 * sum(map(mul, x, alpha)), norm)
+    if r:
+        raise InternalInconsistency("a coroot pairing left the integers")
+    return c
+
+
+def _orbit(group: WeylGroup, x: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """[w(x) for w in group], in group order, for an int vector x at _scale.
+
+    Each image is one reflection of its BFS parent's image:
+    s_k w(x) = w(x) - <w(x), alpha_k^vee> alpha_k.
+    """
+    roots = [_int_root(a) for a in group.simple_roots]
+    images = [x]
+    for k, i in group.parents[1:]:
+        y = images[i]
+        c = _int_pairing(y, roots[k])
+        images.append(tuple([a - c * b for a, b in zip(y, roots[k][0])]))
+    return images
 
 
 # Groups built so far in this process, keyed by the arguments of

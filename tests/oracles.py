@@ -9,7 +9,8 @@ lengths, root systems as the closure of their simple roots under their own
 reflections, the principal defining vector by exact elimination on
 alpha_i(h) = 2, antidominant orbit points by a scan of the whole orbit,
 block multiplicity matrices from those with every placement found by a full
-scan, exterior-power weights from itertools.combinations, first-page
+scan, Weyl orbits, central characters and blocks by applying every group
+matrix to the weight, exterior-power weights from itertools.combinations, first-page
 dimensions from those weights and the n_k-cohomology windows written out by
 hand, and the grading, parabolic and half sums of a pair by Fraction
 arithmetic on coordinate tuples.  Nothing is imported from the library but
@@ -254,6 +255,61 @@ def bruhat_lower_intervals(rs, group) -> dict[WeylElement, frozenset[WeylElement
 
 def _act(matrix, coords) -> tuple:
     return tuple(sum(x * c for x, c in zip(row, coords)) for row in matrix)
+
+
+def orbit_scan(group, coords) -> list[tuple]:
+    """[w(coords) for w in group], each a matrix-vector product, in group order."""
+    return [_act(w.matrix, coords) for w in group]
+
+
+def _trace_zero(coords, rs) -> tuple:
+    """Subtract the block mean on every A or G factor block of rs."""
+    out = list(coords)
+    for (family, _), (lo, hi) in zip(rs.type_label, rs.factor_slices):
+        if family in ("A", "G"):
+            mean = Fraction(sum(out[lo:hi])) / (hi - lo)
+            out[lo:hi] = [c - mean for c in out[lo:hi]]
+    return tuple(out)
+
+
+def _pairing(coords, root) -> Fraction:
+    """<coords, root^vee> = 2 <coords, root> / <root, root>."""
+    return Fraction(2 * sum(x * y for x, y in zip(coords, root))) / sum(
+        y * y for y in root
+    )
+
+
+def central_character_scan(kappa, rs, group) -> tuple:
+    """(representative, regular, integral, orbit size) of kappa, by scanning
+    the orbit of its trace-zero projection under every element of group."""
+    base = _trace_zero(kappa.coords, rs)
+    orbit = set(orbit_scan(group, base))
+    integral = all(_pairing(base, a.coords).denominator == 1 for a in rs.roots)
+    return max(orbit), len(orbit) == len(group), integral, len(orbit)
+
+
+def block_scan(representative, group, p) -> list[tuple]:
+    """(w, nu, omega, mu, dim_e, merged count) for every distinct nu = w(rep) -
+    rho_tilde_adapted, sorted by (mu, nu).  w is the first element in group
+    order giving that nu; a one-root Levi keeps the nu pairing to a
+    nonnegative int n with its positive root, with dim_e = n + 1."""
+    rho = p.rho_tilde_adapted.coords
+    h = p.embedding.h_vector.coords
+    found: dict[tuple, list] = {}
+    for w, image in zip(group, orbit_scan(group, representative.coords)):
+        nu = tuple(Fraction(x - r) for x, r in zip(image, rho))
+        found.setdefault(nu, [w, 0])[1] += 1
+    rows = []
+    for nu, (w, count) in found.items():
+        dim_e = 1
+        if p.m_positive_roots:
+            n = _pairing(nu, p.m_positive_roots[0].coords)
+            if n.denominator != 1 or n < 0:
+                continue
+            dim_e = int(n) + 1
+        omega = Fraction(sum(x * y for x, y in zip(nu, h)))
+        rows.append((w, nu, omega, omega + p.two_rho_n_perp, dim_e, count))
+    return sorted(rows, key=lambda row: (row[3], row[1]))
 
 
 def principal_defining_vector(rs) -> tuple[Fraction, ...]:

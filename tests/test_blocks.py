@@ -41,8 +41,10 @@ from ghcseries.fixtures import parse_algebra
 from ghcseries.rootsys import WeylElement
 from oracles import (
     antidominant_orbit_point,
+    block_scan,
     brute_multiplicity_matrix,
     brute_vector_partitions,
+    central_character_scan,
     integral_positive_roots,
     reflection_closure,
 )
@@ -260,6 +262,122 @@ def test_antidominant_point_applies_no_group_element(monkeypatch):
     assert calls[0] == 0
     group[-1].apply(point)
     assert calls[0] == 1
+
+
+def _orbit_kappas(rs, rng):
+    """Seeded kappas: denominators 1-7 per coordinate, one denominator 1-7 per
+    kappa (so that some roots pair integrally), and 100-digit ones."""
+    big = 10**100
+    kappas = [
+        Weight.of(*(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(rs.ambient)))
+        for _ in range(3)
+    ]
+    for d in rng.sample(range(1, 8), 3):
+        kappas.append(Weight.of(*(Fraction(rng.randint(-20, 20), d) for _ in range(rs.ambient))))
+    kappas.append(Weight.of(*(rng.randint(-big, big) for _ in range(rs.ambient))))
+    kappas.append(
+        Weight.of(*(Fraction(rng.randint(-big, big), rng.randint(1, big)) for _ in range(rs.ambient)))
+    )
+    return kappas
+
+
+def _fraction_orbit(group, kappa):
+    scale = rootsys._scale(group.simple_roots, kappa)
+    images = rootsys._orbit(group, rootsys._scaled(kappa, scale))
+    return [tuple(Fraction(c, scale) for c in x) for x in images]
+
+
+def _block_rows(block):
+    return [(e.w, e.nu.coords, e.omega, e.mu, e.dim_e, e.merged_count) for e in block]
+
+
+@pytest.mark.parametrize("spec", ORDER_SPECS, ids=_label)
+def test_orbits_central_characters_and_blocks_match_the_apply_scan(spec):
+    rs = build_root_system(spec)
+    p = minimal_parabolic(from_principal(rs))
+    # A pair whose Levi has one positive root, where the block keeps only the
+    # nu pairing to a nonnegative int with it.
+    levi = next(
+        (q for q in map(minimal_parabolic, (from_root(rs, a) for a in rs.positive_roots))
+         if len(q.m_positive_roots) == 1),
+        None,
+    )
+    full = weyl_group(rs)
+    rng = random.Random(f"orbit-{_label(spec)}")
+    for kappa in _orbit_kappas(rs, rng):
+        for group in (
+            full,
+            integral_weyl_subgroup(kappa, rs),
+            integral_weyl_subgroup(kappa, rs, p.adapted_positive_roots),
+        ):
+            assert _fraction_orbit(group, kappa) == [w.apply(kappa).coords for w in group]
+        central = central_character_from_kappa(kappa, rs)
+        representative, regular, integral, size = central_character_scan(kappa, rs, full)
+        assert central.representative.coords == representative
+        assert (central.regular, central.integral, central.orbit_size) == (regular, integral, size)
+        block = enumerate_block(central, p)
+        expected = block_scan(central.representative, full, p)
+        assert _block_rows(block) == expected
+        assert all(e.w is w for e, (w, *_) in zip(block, expected))
+        if levi is not None:
+            assert _block_rows(enumerate_block(central, levi)) == block_scan(
+                central.representative, full, levi
+            )
+        if central.regular and rs.rank <= 2:
+            matrix = multiplicity_matrix(central, p)
+            assert matrix.elements == block
+            assert (matrix.m_matrix, matrix.orbit_ids) == brute_multiplicity_matrix(block, p)
+
+
+def test_orbit_step_off_the_lattice_raises():
+    group = weyl_group(build_root_system((("G", 2),)))
+    # (1, 0, 0) pairs to 1/3 with the coroot of the long simple root (1, -2, 1).
+    with pytest.raises(InternalInconsistency, match="a coroot pairing left the integers"):
+        rootsys._orbit(group, (1, 0, 0))
+    with pytest.raises(InternalInconsistency, match="does not clear"):
+        rootsys._scaled(Weight.of(Fraction(1, 3)), 2)
+
+
+SINGULAR_KAPPAS = [("C2", (1, 1)), ("A2", (1, 1, -2)), ("G2", (1, 1, -2))]
+
+
+@pytest.mark.parametrize("algebra,kappa", SINGULAR_KAPPAS, ids=[a for a, _ in SINGULAR_KAPPAS])
+def test_merged_counts_and_first_elements_match_the_orbit_scan(algebra, kappa):
+    rs = build_root_system(parse_algebra(algebra))
+    p = minimal_parabolic(from_principal(rs))
+    central = central_character_from_kappa(Weight.of(*kappa), rs)
+    assert not central.regular
+    block = enumerate_block(central, p)
+    expected = block_scan(central.representative, weyl_group(rs), p)
+    assert _block_rows(block) == expected
+    # The kept w is the group's own first element giving that nu.
+    assert all(e.w is w for e, (w, *_) in zip(block, expected))
+    assert {e.merged_count for e in block} == {2}
+    assert sum(e.merged_count for e in block) == len(weyl_group(rs))
+
+
+TYPE_CASES = [
+    ("C2", "3/2,1/2"), ("C2", "2,1"), ("A2", "1,0,-1"), ("A2", "1/3,1/2,0"),
+    ("G2", "5,4,-3"), ("G2", "1,1/2,9/2"), ("A1+A1", "1,0,1/2,0"), ("B3", "3,2,1"),
+    ("B3", "1/2,1/3,5"),
+]
+
+
+@pytest.mark.parametrize("algebra,kappa", TYPE_CASES)
+def test_block_results_keep_fraction_coordinates(algebra, kappa):
+    rs = build_root_system(parse_algebra(algebra))
+    p = minimal_parabolic(from_principal(rs))
+    kappa = Weight.of(*(Fraction(c) for c in kappa.split(",")))
+    central = central_character_from_kappa(kappa, rs)
+    values = list(central.representative.coords)
+    block = enumerate_block(central, p)
+    if rs.rank <= 2:
+        block += multiplicity_matrix(central, p).elements
+    for e in block:
+        values += [*e.nu.coords, e.omega, e.mu]
+    group = integral_weyl_subgroup(kappa, rs)
+    values += _antidominant_point(kappa, group).coords
+    assert values and all(type(v) is Fraction for v in values)
 
 
 RANK2_ALGEBRAS = ["A1", "B1", "C1", "A1+A1", "D2", "A2", "B2", "C2", "G2"]

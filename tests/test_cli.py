@@ -448,8 +448,9 @@ def test_characters_from_one_list_match_brute_partitions(algebra, mu, cutoff, di
 
 @pytest.fixture
 def pairs(monkeypatch):
-    """An empty pair memo for this test; returns the dict the CLI fills."""
+    """Empty pair and root-system memos for this test; returns the pair dict the CLI fills."""
     monkeypatch.setattr(cli, "_PAIRS", {})
+    monkeypatch.setattr(cli, "_ROOT_SYSTEMS", {})
     return cli._PAIRS
 
 
@@ -503,6 +504,34 @@ def test_a_pair_that_fails_to_build_is_not_stored(pairs, capsys):
     assert runs[0][1].err == "error: NotARoot: (9, 9) is not a root\n"
     assert pairs == stored
     assert all(pairs[key] is stored[key] for key in stored)
+
+
+# Two embeddings of each of five algebras: the pairs of perfbench's char-deep.
+DEEP_PAIRS = [
+    ("C4", "principal"), ("C4", "root:2,0,0,0"), ("B4", "principal"), ("B4", "root:1,1,0,0"),
+    ("G2", "principal"), ("G2", "root:2,-1,-1"), ("C2", "principal"), ("C2", "root:2,0"),
+    ("A2", "principal"), ("A2", "root:1,0,-1"),
+]
+
+
+def test_the_embeddings_of_one_algebra_share_one_root_system(pairs, capsys, monkeypatch):
+    built = []
+    build = cli.build_root_system
+
+    def counted(spec):
+        built.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(cli, "build_root_system", counted)
+    for algebra, embedding in DEEP_PAIRS * 2:
+        argv = ["character", "--algebra", algebra, "--embedding", embedding,
+                "--mu", "1", "--cutoff", "8"]
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert len(built) == 5
+    assert set(built) == {parse_algebra(algebra) for algebra, _ in DEEP_PAIRS}
+    assert len(pairs) == 10
+    assert all(emb.rs is cli._ROOT_SYSTEMS[spec] for (spec, _), (emb, _) in pairs.items())
 
 
 SESSION_POOL = [
