@@ -8,10 +8,11 @@ the composition multiplicities of the produced modules reduce to the
 Bruhat order of the integral Weyl subgroup, every Kazhdan-Lusztig
 polynomial of a dihedral group being 1; socle k-characters follow by
 inverting the matrix.  The Bruhat order itself (rootsys.bruhat_leq_over,
-read in the shared WeylGroup of a linkage class) works at any rank; above
-total rank 2 the Kazhdan-Lusztig corrections are not computed, so the
-matrix is refused there with UnsupportedRank.  A linkage class is placed
-from its antidominant point, reached by simple reflections.  Orbits,
+read on positions in the shared WeylGroup of a linkage class) works at any
+rank; above total rank 2 the Kazhdan-Lusztig corrections are not computed,
+so the matrix is refused there with UnsupportedRank.  A linkage class is
+placed from its antidominant point, reached by simple reflections: its
+orbit, in group order, maps each point to a group position.  Orbits,
 coroot pairings and placements are computed on int vectors over one
 common denominator (rootsys._orbit and _scale); every returned weight and
 t-weight is built once, with Fraction coordinates.
@@ -291,9 +292,10 @@ def multiplicity_matrix(
         tuple([-(a + b) for a, b in zip(_scaled(e.nu, scale), rho)]) for e in elements
     ]
 
-    # One dict per linkage class: each point of the class -> the element of
-    # the class's integral group that places the antidominant point there.
-    classes: list[tuple[WeylGroup, dict[tuple, WeylElement]]] = []
+    # One dict per linkage class: each point of the class -> the position of
+    # the element of the class's integral group that places the antidominant
+    # point there.
+    classes: list[tuple[WeylGroup, dict[tuple, int]]] = []
     orbit_ids = []
     placements = []
     for key in keys:
@@ -302,7 +304,7 @@ def multiplicity_matrix(
             point = _unscaled(key, scale)
             group = integral_weyl_subgroup(point, rs, p.adapted_positive_roots)
             antidominant = _scaled(_antidominant_point(point, group), scale)
-            placed = dict(zip(_orbit(group, antidominant), group))
+            placed = {x: i for i, x in enumerate(_orbit(group, antidominant))}
             if len(placed) != len(group):
                 raise InternalInconsistency(
                     "expected a unique placement in the integral group, got "

@@ -13,11 +13,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .errors import InternalInconsistency, InvalidInput
-from .linalg import solve_unique
-from .rootsys import Weight, _half_sum, _int_coords, inner_product, lex_positive
+from .rootsys import RootSystem, Weight, _half_sum, _int_coords, inner_product, lex_positive
 from .sl2embed import Sl2Embedding
 
 
@@ -247,24 +247,44 @@ class BoundsReport:
         return _by_convention(convention, self.strong_n, self.strong_perp)
 
 
+def _simple_root_sum(rs: RootSystem) -> tuple[Fraction, ...]:
+    """The c_i with 2 rho = sum c_i alpha_i, from a walk up the positive roots.
+
+    Every non-simple positive root is a positive root plus a simple root
+    (Humphreys, Introduction to Lie Algebras and Representation Theory,
+    10.2), so a breadth-first walk from the simple roots, adding one simple
+    root at a time on int coordinates, reaches each positive root once
+    with its expansion; the c_i are the column sums of the expansions.
+    """
+    simple = [_int_coords(a) for a in rs.simple_roots]
+    positive = set(map(_int_coords, rs.positive_roots))
+    unit = [tuple(int(i == j) for j in range(len(simple))) for i in range(len(simple))]
+    found = dict(zip(simple, unit))
+    walk = list(found)
+    for beta in walk:  # walk grows while it is read
+        for a, e in zip(simple, unit):
+            gamma = tuple(map(add, beta, a))
+            if gamma in positive and gamma not in found:
+                found[gamma] = tuple(map(add, found[beta], e))
+                walk.append(gamma)
+    if len(walk) != len(positive):
+        raise InternalInconsistency("the walk up from the simple roots missed a positive root")
+    return tuple(Fraction(sum(column)) for column in zip(*found.values()))
+
+
 def bounds_report(p: CompatibleParabolic) -> BoundsReport:
     """Reconstruction thresholds on mu, in both lambda conventions.
 
     For principal embeddings the earlier classification bound
-    2*(sum r_i) - 1 is added, with the r_i read off from the expansion of
-    rho_tilde in half simple roots.
+    2*(sum c_i) - 1 is added, where 2 rho = sum c_i alpha_i over the simple
+    roots; the c_i come from the walk up the positive roots in
+    _simple_root_sum.
     """
     inv = invariants(p)
     prior = None
     coefficients = None
     if p.embedding.kind == "principal":
-        rs = p.embedding.rs
-        rows = [
-            [alpha.coords[i] for alpha in rs.simple_roots]
-            for i in range(rs.ambient)
-        ]
-        rhs = [2 * c for c in rs.rho_tilde.coords]
-        coefficients = tuple(solve_unique(rows, rhs))
+        coefficients = _simple_root_sum(p.embedding.rs)
         prior = _threshold(2 * sum(coefficients) - 1)
     return BoundsReport(
         weak=_threshold(0),

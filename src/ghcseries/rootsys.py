@@ -443,20 +443,15 @@ def weyl_group(rs: RootSystem) -> WeylGroup:
     return group
 
 
-def bruhat_leq_over(x: WeylElement, y: WeylElement, group: WeylGroup) -> bool:
-    """Bruhat order in a WeylGroup, at any rank.
+def bruhat_leq_over(i: int, j: int, group: WeylGroup) -> bool:
+    """Bruhat order in a WeylGroup, at any rank, on group positions.
 
-    Uses the lifting property (Bjorner-Brenti, Combinatorics of Coxeter
-    Groups, ch. 2): for a simple s with sy < y, x <= y iff min(x, sx) <= sy.
-    The loop takes at most l(y) steps of lookups in the group's
-    left-multiplication table.  An element outside the group raises
-    GroupMismatch.
+    True iff group[i] <= group[j].  Uses the lifting property
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 2): for a simple
+    s with sy < y, x <= y iff min(x, sx) <= sy.  The loop takes at most
+    l(y) steps of lookups in the group's left-multiplication table.
     """
     elements, left = group.elements, group.left
-    try:
-        i, j = group.index[x.matrix], group.index[y.matrix]
-    except KeyError:
-        raise GroupMismatch("element does not belong to the group") from None
     while elements[i].length < elements[j].length:
         # A left descent s of y: x <= y iff min(x, sx) <= sy.
         s = next(s for s in left if elements[s[j]].length < elements[j].length)
@@ -467,8 +462,16 @@ def bruhat_leq_over(x: WeylElement, y: WeylElement, group: WeylGroup) -> bool:
 
 
 def bruhat_leq(x: WeylElement, y: WeylElement, rs: RootSystem) -> bool:
-    """Bruhat order on the full Weyl group of rs, at any rank."""
-    return bruhat_leq_over(x, y, weyl_group(rs))
+    """Bruhat order on the full Weyl group of rs, at any rank.
+
+    An element outside the group raises GroupMismatch.
+    """
+    group = weyl_group(rs)
+    try:
+        i, j = group.index[x.matrix], group.index[y.matrix]
+    except KeyError:
+        raise GroupMismatch("element does not belong to the group") from None
+    return bruhat_leq_over(i, j, group)
 
 
 def project_trace_zero(w: Weight, rs: RootSystem) -> Weight:

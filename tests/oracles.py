@@ -7,7 +7,8 @@ one multiplicity at a time, Bruhat order by the subword property, Weyl
 groups as the closure under every positive reflection with inversion-count
 lengths, root systems as the closure of their simple roots under their own
 reflections, the principal defining vector by exact elimination on
-alpha_i(h) = 2, antidominant orbit points by a scan of the whole orbit,
+alpha_i(h) = 2, simple-root expansions (2 rho among them) by the same
+elimination, antidominant orbit points by a scan of the whole orbit,
 block multiplicity matrices from those with every placement found by a full
 scan, Weyl orbits, central characters and blocks by applying every group
 matrix to the weight, exterior-power weights from itertools.combinations, first-page
@@ -312,6 +313,35 @@ def block_scan(representative, group, p) -> list[tuple]:
     return sorted(rows, key=lambda row: (row[3], row[1]))
 
 
+def solve_by_elimination(rows) -> tuple[Fraction, ...]:
+    """The x with row[:-1] . x = row[-1] on every augmented row, by Gauss-Jordan elimination.
+
+    The system may have more rows than unknowns; an AssertionError says it
+    has no solution or more than one.
+    """
+    rows = [[Fraction(x) for x in row] for row in rows]
+    unknowns = len(rows[0]) - 1
+    for col in range(unknowns):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col] != 0), None)
+        assert pivot is not None, "the system has more than one solution"
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [x / lead for x in rows[col]]
+        for r in range(len(rows)):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    assert all(row[-1] == 0 for row in rows[unknowns:]), "the system has no solution"
+    return tuple(row[-1] for row in rows[:unknowns])
+
+
+def simple_expansion(simple_roots, coords) -> tuple[Fraction, ...]:
+    """The c with coords = sum c_i simple_roots[i], by solve_by_elimination."""
+    return solve_by_elimination(
+        [[a.coords[i] for a in simple_roots] + [x] for i, x in enumerate(coords)]
+    )
+
+
 def principal_defining_vector(rs) -> tuple[Fraction, ...]:
     """The h with alpha_i(h) = 2 on every simple root, by Gauss-Jordan elimination.
 
@@ -324,19 +354,8 @@ def principal_defining_vector(rs) -> tuple[Fraction, ...]:
         if family in ("A", "G"):
             block = [Fraction(int(lo <= i < hi)) for i in range(rs.ambient)]
             rows.append(block + [Fraction(0)])
-    pivot_row = 0
-    for col in range(rs.ambient):
-        pivot = next(r for r in range(pivot_row, len(rows)) if rows[r][col] != 0)
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        lead = rows[pivot_row][col]
-        rows[pivot_row] = [x / lead for x in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-    assert pivot_row == len(rows) == rs.ambient, "the system is not square and regular"
-    return tuple(row[-1] for row in rows)
+    assert len(rows) == rs.ambient, "the system is not square"
+    return solve_by_elimination(rows)
 
 
 def antidominant_orbit_point(key: tuple, group, positive_roots) -> tuple:

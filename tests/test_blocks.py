@@ -190,6 +190,7 @@ def test_matrix_reads_the_group_memo_once_per_linkage_class(spec, kappas, monkey
     comparisons = [0]
 
     def no_lookup(*args):
+        assert type(args[0]) is int and type(args[1]) is int
         before = memo.reads
         result = compare(*args)
         assert memo.reads == before

@@ -66,10 +66,11 @@ def _imports_linalg(node) -> bool:
     return any(name.split(".")[-1] == "linalg" for name in names)
 
 
-def test_one_module_each_knows_the_trace_zero_realization_and_solves_systems():
-    """Only rootsys reads the trace-zero families; only parabolic solves a system."""
+def test_only_rootsys_knows_the_trace_zero_realization_and_no_module_solves_systems():
+    """Only rootsys reads the trace-zero families; no module imports a linear solver."""
     assert _modules_where(_names_trace_zero_families) == {"rootsys"}
-    assert _modules_where(_imports_linalg) == {"parabolic"}
+    assert _modules_where(_imports_linalg) == set()
+    assert not (Path(ghcseries.__file__).parent / "linalg.py").exists()
 
 
 def _third_party_import(node) -> bool:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ghcseries import (
+    InternalInconsistency,
     InvalidInput,
     Weight,
     b_dominant,
@@ -20,6 +22,9 @@ from ghcseries import (
     invariants,
     minimal_parabolic,
 )
+from ghcseries import parabolic
+from oracles import simple_expansion
+from test_rootsys import ORDER_SPECS, _label
 
 N_WEIGHTS = {
     "sl2xsl2-diagonal": (2, 2),
@@ -175,6 +180,22 @@ def test_prior_work_coefficients_for_principal_sp4():
     report = bounds_report(p)
     assert report.prior_work_coefficients == (4, 3)
     assert report.prior_work.exact == 2 * (4 + 3) - 1
+
+
+@pytest.mark.parametrize("spec", ORDER_SPECS, ids=_label)
+def test_prior_work_coefficients_match_the_elimination_oracle(spec):
+    rs = build_root_system(spec)
+    two_rho = [sum(column) for column in zip(*(beta.coords for beta in rs.positive_roots))]
+    coefficients = bounds_report(minimal_parabolic(from_principal(rs))).prior_work_coefficients
+    assert coefficients == simple_expansion(rs.simple_roots, two_rho)
+    assert all(type(c) is Fraction for c in coefficients)
+
+
+def test_the_walk_up_the_positive_roots_refuses_a_root_it_misses():
+    rs = build_root_system((("C", 2),))
+    stray = replace(rs, positive_roots=rs.positive_roots + (Weight.of(5, 7),))
+    with pytest.raises(InternalInconsistency, match="missed a positive root"):
+        parabolic._simple_root_sum(stray)
 
 
 def test_every_convention_selector_refuses_an_unknown_convention():

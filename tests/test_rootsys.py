@@ -26,6 +26,7 @@ from oracles import (
     indecomposable_roots,
     lex_positive_half,
     reflection_closure,
+    simple_expansion,
     simple_root_closure,
 )
 
@@ -188,16 +189,9 @@ def test_simple_roots_generate_positives(spec, _rc, _wo):
 
 
 def _simple_coefficients(rs, root):
-    from ghcseries.linalg import solve_unique
-
-    ambient = len(root.coords)
-    rows = [
-        [rs.simple_roots[j].coords[i] for j in range(len(rs.simple_roots))]
-        for i in range(ambient)
-    ]
     try:
-        return solve_unique(rows, list(root.coords))
-    except Exception:
+        return simple_expansion(rs.simple_roots, root.coords)
+    except AssertionError:
         return None
 
 
