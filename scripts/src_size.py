@@ -2,12 +2,15 @@
 
 Usage: python scripts/src_size.py
 
-src_lines counts the non-blank lines of src/ghcseries/*.py and exports
-is len(ghcseries.__all__), both read from this checkout.
+src_lines counts the non-blank lines of src/ghcseries/*.py, exports is
+len(ghcseries.__all__), and private_imports counts the _-prefixed names
+that one ghcseries module imports from another (from .rootsys import
+_scale counts one), all read from this checkout.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import sys
 from pathlib import Path
@@ -19,13 +22,21 @@ def main() -> int:
     sys.path.insert(0, str(SRC))
     import ghcseries
 
-    lines = sum(
+    texts = [path.read_text() for path in sorted((SRC / "ghcseries").glob("*.py"))]
+    lines = sum(1 for text in texts for line in text.splitlines() if line.strip())
+    private = sum(
         1
-        for path in sorted((SRC / "ghcseries").glob("*.py"))
-        for line in path.read_text().splitlines()
-        if line.strip()
+        for text in texts
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
     )
-    print(json.dumps({"src_lines": lines, "exports": len(ghcseries.__all__)}))
+    print(
+        json.dumps(
+            {"src_lines": lines, "exports": len(ghcseries.__all__), "private_imports": private}
+        )
+    )
     return 0
 
 

@@ -13,9 +13,10 @@ rank; above total rank 2 the Kazhdan-Lusztig corrections are not computed,
 so the matrix is refused there with UnsupportedRank.  A linkage class is
 placed from its antidominant point, reached by simple reflections: its
 orbit, in group order, maps each point to a group position.  Orbits,
-coroot pairings and placements are computed on int vectors over one
-common denominator (rootsys._orbit and _scale); every returned weight and
-t-weight is built once, with Fraction coordinates.
+coroot pairings and placements are computed on int vectors at the block's
+one scale, through the integer layer of rootsys (_scale, _pairing, _orbit,
+_antidominant); every returned weight and t-weight is built once, with
+Fraction coordinates.
 """
 
 from __future__ import annotations
@@ -48,11 +49,11 @@ from .rootsys import (
     Weight,
     WeylElement,
     WeylGroup,
+    _antidominant,
     _check_dim,
-    _int_coords,
-    _int_pairing,
     _int_root,
     _orbit,
+    _pairing,
     _scale,
     _scaled,
     _unscaled,
@@ -101,12 +102,7 @@ def central_character_from_kappa(kappa: Weight, rs: RootSystem) -> CentralCharac
 
 def _integral_roots(x: tuple[int, ...], scale: int, roots) -> list[Weight]:
     """The roots alpha with <x / scale, alpha^vee> an int, in the given order."""
-    found = []
-    for alpha in roots:
-        a, norm = _int_root(alpha)
-        if 2 * sum(map(mul, x, a)) % (norm * scale) == 0:
-            found.append(alpha)
-    return found
+    return [alpha for alpha in roots if not _pairing(x, _int_root(alpha), scale)[1]]
 
 
 def _check_kappa_length(kappa: Weight, rs: RootSystem) -> None:
@@ -170,7 +166,7 @@ def enumerate_block(
         omega = sum(map(mul, nu, h_ints))
         dim_e = 1
         if gamma is not None:
-            pairing, r = divmod(2 * sum(map(mul, nu, gamma[0])), gamma[1] * scale)
+            pairing, r = _pairing(nu, gamma, scale)
             if r or pairing < 0:
                 continue
             dim_e = pairing + 1
@@ -211,7 +207,7 @@ def integral_weyl_subgroup(
         raise InternalInconsistency(
             "positive system does not split the integral roots in half"
         )
-    ints = [_int_coords(alpha) for alpha in positives]
+    ints = [_int_root(alpha)[0] for alpha in positives]
     sums = {tuple(map(add, a, b)) for a, b in combinations(ints, 2)}
     simples = tuple(alpha for alpha, a in zip(positives, ints) if a not in sums)
     group = reflection_group(simples, rs.ambient)
@@ -233,29 +229,6 @@ class MultiplicityMatrix:
     p_matrix: tuple[tuple[int, ...], ...]
     orbit_ids: tuple[int, ...]
     integral_group_order: int
-
-
-def _antidominant_point(point: Weight, group: WeylGroup) -> Weight:
-    """The one point of point's regular orbit that pairs negatively with
-    every simple root of group, and so with every positive root.
-
-    Reached by reflecting in the first simple root that pairs positively,
-    at most once per positive root, with no orbit built (Humphreys,
-    Reflection Groups and Coxeter Groups, 1.12); the walk runs in ints at
-    _scale.  A zero pairing: the orbit is singular.
-    """
-    roots = [_int_root(a) for a in group.simple_roots]
-    scale = _scale(group.simple_roots, point)
-    x = _scaled(point, scale)
-    while True:
-        pairings = [_int_pairing(x, root) for root in roots]
-        if 0 in pairings:
-            raise InternalInconsistency("regular orbit produced a zero pairing")
-        step = next(((a, c) for (a, _), c in zip(roots, pairings) if c > 0), None)
-        if step is None:
-            return _unscaled(x, scale)
-        a, c = step
-        x = tuple([u - c * v for u, v in zip(x, a)])
 
 
 def _check_matrix_regime(p: CompatibleParabolic) -> None:
@@ -285,7 +258,8 @@ def multiplicity_matrix(
 
     elements = enumerate_block(kappa, p)
     # Every key -(nu + rho_tilde_adapted) = -w(kappa) is an int vector at the
-    # block's scale, and so is every point of its linkage class.
+    # block's scale, and so is every point of its linkage class: the walk to
+    # the class's antidominant point and the class's orbit run at that scale.
     scale = _scale(rs.simple_roots, kappa.representative, p.rho_tilde_adapted)
     rho = _scaled(p.rho_tilde_adapted, scale)
     keys = [
@@ -301,10 +275,8 @@ def multiplicity_matrix(
     for key in keys:
         cid = next((c for c, (_, placed) in enumerate(classes) if key in placed), None)
         if cid is None:
-            point = _unscaled(key, scale)
-            group = integral_weyl_subgroup(point, rs, p.adapted_positive_roots)
-            antidominant = _scaled(_antidominant_point(point, group), scale)
-            placed = {x: i for i, x in enumerate(_orbit(group, antidominant))}
+            group = integral_weyl_subgroup(_unscaled(key, scale), rs, p.adapted_positive_roots)
+            placed = {x: i for i, x in enumerate(_orbit(group, _antidominant(group, key)))}
             if len(placed) != len(group):
                 raise InternalInconsistency(
                     "expected a unique placement in the integral group, got "

@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def add_output_options(sp):
-        sp.add_argument("--cutoff", type=int, default=None)
+        sp.add_argument("--cutoff", type=_integer, default=None)
         sp.add_argument("--format", choices=("json", "table"), default="json")
 
     sp = sub.add_parser("analyze", help="invariants, bounds and regularity")
@@ -84,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("character", help="t-character of N and k-character of F1")
     add_pair_options(sp)
     add_output_options(sp)
-    sp.add_argument("--mu", type=int, required=True)
-    sp.add_argument("--dim-e", type=int, default=1, dest="dim_e")
+    sp.add_argument("--mu", type=_integer, required=True)
+    sp.add_argument("--dim-e", type=_integer, default=1, dest="dim_e")
     sp.add_argument(
         "--allow-virtual",
         action="store_true",
@@ -102,38 +102,39 @@ def build_parser() -> argparse.ArgumentParser:
     add_pair_options(sp)
     add_output_options(sp)
     sp.add_argument("--kappa", required=True)
-    sp.add_argument("--mu", type=int, required=True, help="minimal k-type selector")
+    sp.add_argument("--mu", type=_integer, required=True, help="minimal k-type selector")
 
     sp = sub.add_parser("iwasawa", help="support of V(a) across a principal-series family")
     add_output_options(sp)
-    sp.add_argument("--a", type=int, required=True)
+    sp.add_argument("--a", type=_integer, required=True)
     sp.add_argument("--c", default="0", help="exact rational character parameter")
 
     return parser
 
 
+def _integer(text: str) -> int:
+    """int(text); UnsupportedRegime past MAX_RATIONAL_DIGITS digits, counted
+    before int() reads the text (it refuses more than 4300 digits)."""
+    if sum(map(str.isdigit, text)) > MAX_RATIONAL_DIGITS:
+        raise UnsupportedRegime(f"integer with more than {MAX_RATIONAL_DIGITS} digits")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _cutoff(args) -> int:
-    if args.cutoff is not None:
-        value = args.cutoff
-    else:
+    value = args.cutoff
+    if value is None:
         raw = os.environ.get("GHCSERIES_CUTOFF", str(DEFAULT_CUTOFF))
         try:
-            value = int(raw)
-        except ValueError:
-            raise InvalidInput(
-                f"GHCSERIES_CUTOFF must be an integer, got {raw!r}"
-            ) from None
+            value = _integer(raw)
+        except argparse.ArgumentTypeError:
+            raise InvalidInput(f"GHCSERIES_CUTOFF must be an integer, got {raw!r}") from None
     if value < 0:
         raise InvalidInput("cutoff must be nonnegative")
     if value > MAX_CUTOFF:
         raise UnsupportedRegime(f"cutoff {value} exceeds the ceiling {MAX_CUTOFF}")
-    return value
-
-
-def _bounded(value: int, option: str) -> int:
-    """value, or UnsupportedRegime when it has more than MAX_RATIONAL_DIGITS digits."""
-    if abs(value) >= 10**MAX_RATIONAL_DIGITS:
-        raise UnsupportedRegime(f"{option} has more than {MAX_RATIONAL_DIGITS} digits")
     return value
 
 
@@ -246,7 +247,7 @@ def cmd_analyze(args) -> dict:
 def cmd_character(args) -> dict:
     pair, emb, p = _resolve_pair(args)
     cutoff = _cutoff(args)
-    mu, dim_e = _bounded(args.mu, "--mu"), _bounded(args.dim_e, "--dim-e")
+    mu, dim_e = args.mu, args.dim_e
     omega = mu - p.two_rho_n_perp
     ModuleDatumE(omega=omega, dim_e=dim_e)  # refuses dim E < 1
     virtual = mu < 0
@@ -340,7 +341,7 @@ def cmd_block(args) -> dict:
 def cmd_socle(args) -> dict:
     pair, emb, p = _resolve_pair(args)
     cutoff = _cutoff(args)
-    mu = _bounded(args.mu, "--mu")
+    mu = args.mu
     given, kappa = _block_central_character(args, p)
     matrix = multiplicity_matrix(kappa, p)
     hits = [e for e in matrix.elements if e.mu == mu]
@@ -417,8 +418,9 @@ def _attach_values(argv) -> list[str]:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
+        # An integer option past its digit ceiling raises out of parse_args.
+        args = _parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
         doc = _DISPATCH[args.command](args)
         text = render_json(doc) if args.format == "json" else render_table(doc)
     except GhcseriesError as exc:

@@ -9,16 +9,16 @@ with e_n, C with 2e_n and D with e_{n-1} + e_n.  B, C and D share the
 roots +-e_i +- e_j; B adds +-e_i and C adds +-2e_i.  G2 lists its six
 positive roots in a trace-zero realization in Q^3.  Every root
 coordinate is an integer in these realizations, and build_root_system
-checks it: the root arithmetic of pair construction (_int_coords,
-_half_sum) runs on those integers.  Weights, and every weight the library
-returns, keep exact Fraction coordinates; no floating point anywhere.  A
-Weyl group is built once per process for each simple system, in one
-closure pass that also gives the element lengths, the
-left-multiplication table its Bruhat order reads and the BFS parent of
-every element.  _orbit reads a weight's whole orbit off those parents,
-one reflection per element, in ints: the weight is scaled by _scale, the
-lcm of its denominators times the lcm of the root norms, which keeps
-every reflection step exact.
+checks it.  Weights, and every weight the library returns, keep exact
+Fraction coordinates; no floating point anywhere.  A Weyl group is built
+once per process for each simple system, in one closure pass that also
+gives the element lengths, the left-multiplication table its Bruhat order
+reads and the BFS parent of every element.
+
+The private integer layer below is the only code that turns weights into
+ints (_scale, _scaled, _unscaled) and takes coroot pairings (_pairing) and
+reflection steps (_reflect) on them; _orbit and _antidominant walk a
+group's orbits with those, and the other modules only call them.
 """
 
 from __future__ import annotations
@@ -104,14 +104,6 @@ def lex_positive(w: Weight) -> bool:
         if c.numerator:
             return c.numerator > 0
     return False
-
-
-_numerator = attrgetter("numerator")
-
-
-def _int_coords(root: Weight) -> tuple[int, ...]:
-    """The coordinates of a root as ints (they are integers, see build_root_system)."""
-    return tuple(map(_numerator, root.coords))
 
 
 def _factor_roots(family: str, dim: int, offset: int, ambient: int):
@@ -241,12 +233,6 @@ def build_root_system(spec: Iterable[tuple[str, int]]) -> RootSystem:
     )
 
 
-def _half_sum(roots: Sequence[Weight], ambient: int) -> Weight:
-    """Half the sum of the given roots, added up as ints and halved once."""
-    sums = list(map(sum, zip(*map(_int_coords, roots)))) or [0] * ambient
-    return Weight(tuple(Fraction(c, 2) for c in sums))
-
-
 @dataclass(frozen=True)
 class WeylElement:
     """Orthogonal matrix acting on epsilon-coordinates, with a length."""
@@ -363,10 +349,27 @@ def generate_group(generators: Sequence[Weight], ambient: int) -> WeylGroup:
     )
 
 
+# The integer layer: roots are int vectors (build_root_system checks it), and
+# a weight is the int vector scale * w for a scale that clears its denominators.
+
+_numerator = attrgetter("numerator")
+
+
+def _int_coords(root: Weight) -> tuple[int, ...]:
+    """The coordinates of a root as ints."""
+    return tuple(map(_numerator, root.coords))
+
+
 def _int_root(root: Weight) -> tuple[tuple[int, ...], int]:
     """A root's coordinates as ints and its norm <root, root>."""
     coords = _int_coords(root)
     return coords, sum(c * c for c in coords)
+
+
+def _half_sum(roots: Sequence[Weight], ambient: int) -> Weight:
+    """Half the sum of the given roots, added up as ints and halved once."""
+    sums = list(map(sum, zip(*map(_int_coords, roots)))) or [0] * ambient
+    return _unscaled(sums, 2)
 
 
 def _scale(simple_roots: Iterable[Weight], *weights: Weight) -> int:
@@ -374,7 +377,7 @@ def _scale(simple_roots: Iterable[Weight], *weights: Weight) -> int:
 
     For every root beta of the group of simple_roots, D * <w(v), beta^vee>
     = 2 (lcm(norms) / <beta, beta>) <lcm(dens) v, w^-1 beta> is an int, so
-    at scale D each reflection step of _orbit is exact.
+    at scale D each reflection step of _orbit and _antidominant is exact.
     """
     dens = (c.denominator for w in weights for c in w.coords)
     return lcm(*dens) * lcm(*(_int_root(a)[1] for a in simple_roots))
@@ -392,13 +395,25 @@ def _unscaled(x: Sequence[int], scale: int) -> Weight:
     return Weight(tuple(Fraction(c, scale) for c in x))
 
 
+def _pairing(x: Sequence[int], root: tuple[tuple[int, ...], int], scale: int = 1):
+    """divmod(2 <x, alpha>, <alpha, alpha> * scale) for an int x and an _int_root:
+    <x / scale, alpha^vee> is an int iff the remainder is 0."""
+    alpha, norm = root
+    return divmod(2 * sum(map(mul, x, alpha)), norm * scale)
+
+
 def _int_pairing(x: Sequence[int], root: tuple[tuple[int, ...], int]) -> int:
     """<x, alpha^vee> for an int vector x and an _int_root; raises unless it is an int."""
-    alpha, norm = root
-    c, r = divmod(2 * sum(map(mul, x, alpha)), norm)
+    c, r = _pairing(x, root)
     if r:
         raise InternalInconsistency("a coroot pairing left the integers")
     return c
+
+
+def _reflect(x: tuple[int, ...], root: tuple[tuple[int, ...], int]) -> tuple[int, ...]:
+    """s_alpha(x) = x - <x, alpha^vee> alpha for an int vector x and an _int_root."""
+    c = _int_pairing(x, root)
+    return tuple([a - c * b for a, b in zip(x, root[0])])
 
 
 def _orbit(group: WeylGroup, x: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -410,10 +425,28 @@ def _orbit(group: WeylGroup, x: tuple[int, ...]) -> list[tuple[int, ...]]:
     roots = [_int_root(a) for a in group.simple_roots]
     images = [x]
     for k, i in group.parents[1:]:
-        y = images[i]
-        c = _int_pairing(y, roots[k])
-        images.append(tuple([a - c * b for a, b in zip(y, roots[k][0])]))
+        images.append(_reflect(images[i], roots[k]))
     return images
+
+
+def _antidominant(group: WeylGroup, x: tuple[int, ...]) -> tuple[int, ...]:
+    """The one point of x's regular orbit that pairs negatively with every
+    simple root of group, and so with every positive root; x is at _scale.
+
+    Reached by reflecting in the first simple root that pairs positively,
+    at most once per positive root, with no orbit built (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.12).  A zero pairing: the
+    orbit is singular.
+    """
+    roots = [_int_root(a) for a in group.simple_roots]
+    while True:
+        pairings = [_int_pairing(x, root) for root in roots]
+        if 0 in pairings:
+            raise InternalInconsistency("regular orbit produced a zero pairing")
+        k = next((k for k, c in enumerate(pairings) if c > 0), None)
+        if k is None:
+            return x
+        x = _reflect(x, roots[k])
 
 
 # Groups built so far in this process, keyed by the arguments of

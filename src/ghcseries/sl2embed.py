@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from .errors import (
@@ -26,7 +25,7 @@ from .errors import (
     WindowTooNarrow,
 )
 from .report import rational
-from .rootsys import RootSystem, Weight, _int_coords, inner_product
+from .rootsys import RootSystem, Weight, _int_root, _scale, _scaled, _unscaled, inner_product
 
 
 @dataclass(frozen=True)
@@ -157,13 +156,13 @@ def from_defining_vector(rs: RootSystem, h) -> Sl2Embedding:
 
 
 def _validated(rs: RootSystem, h_vec: Weight, kind: str) -> Sl2Embedding:
-    # alpha(h) = <alpha, h_num> / den over integral roots: one int dot
+    # alpha(h) = <alpha, den * h> / den over integral roots: one int dot
     # product and one divisibility test per root.
-    den = lcm(*(c.denominator for c in h_vec.coords))
-    h_num = [c.numerator * (den // c.denominator) for c in h_vec.coords]
+    den = _scale((), h_vec)
+    h_num = _scaled(h_vec, den)
     values = []
     for alpha in rs.roots:
-        v = sum(map(mul, _int_coords(alpha), h_num))
+        v = sum(map(mul, _int_root(alpha)[0], h_num))
         if v % den:
             raise NonIntegralGrading(
                 f"root {_point(alpha)} evaluates to non-integer {Fraction(v, den)}"
@@ -183,14 +182,13 @@ def from_principal(rs: RootSystem) -> Sl2Embedding:
     Every simple root is 2 on it (Kostant, The principal three-dimensional
     subgroup..., 1959), and it lies in the span of the roots, which fixes it.
     """
-    norms = [sum(c * c for c in _int_coords(alpha)) for alpha in rs.positive_roots]
-    den = lcm(*norms)
+    den = _scale(rs.simple_roots)  # the lcm of every root norm
     h = [0] * rs.ambient
-    for alpha, norm in zip(rs.positive_roots, norms):
-        scale = 2 * den // norm
-        for i, c in enumerate(_int_coords(alpha)):
-            h[i] += scale * c
-    return _validated(rs, Weight(tuple(Fraction(c, den) for c in h)), kind="principal")
+    for alpha in rs.positive_roots:
+        coords, norm = _int_root(alpha)
+        for i, c in enumerate(coords):
+            h[i] += 2 * den // norm * c
+    return _validated(rs, _unscaled(h, den), kind="principal")
 
 
 def from_root(rs: RootSystem, beta) -> Sl2Embedding:

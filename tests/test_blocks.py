@@ -35,7 +35,7 @@ from ghcseries import (
 )
 from ghcseries import rootsys
 from ghcseries import blocks, charseries
-from ghcseries.blocks import MAX_IWASAWA_A, _antidominant_point
+from ghcseries.blocks import MAX_IWASAWA_A
 from ghcseries.charseries import MAX_CUTOFF, ModuleDatumE
 from ghcseries.fixtures import parse_algebra
 from ghcseries.rootsys import WeylElement
@@ -211,6 +211,15 @@ def test_matrix_reads_the_group_memo_once_per_linkage_class(spec, kappas, monkey
     assert comparisons[0] > 0
 
 
+def _antidominant_point(point, group, factor=1):
+    """rootsys._antidominant walked from point at factor times its _scale,
+    as a Weight; the walk itself stays on ints."""
+    scale = factor * rootsys._scale(group.simple_roots, point)
+    x = rootsys._antidominant(group, rootsys._scaled(point, scale))
+    assert all(type(c) is int for c in x)
+    return rootsys._unscaled(x, scale)
+
+
 def test_antidominant_point_refuses_a_singular_orbit():
     rs = build_root_system((("C", 2),))
     kappa = Weight.of(1, 1)
@@ -242,6 +251,8 @@ def test_antidominant_point_matches_the_orbit_scan_oracle(spec):
         closure = _oracle_closure(positives, rs.ambient)
         expected = antidominant_orbit_point(key.coords, closure, positives)
         assert _antidominant_point(key, group).coords == expected, key
+        # multiplicity_matrix walks at the block's scale, a multiple of key's.
+        assert _antidominant_point(key, group, factor=6).coords == expected, key
         regular += 1
     assert regular
 
@@ -377,7 +388,7 @@ def test_block_results_keep_fraction_coordinates(algebra, kappa):
     for e in block:
         values += [*e.nu.coords, e.omega, e.mu]
     group = integral_weyl_subgroup(kappa, rs)
-    values += _antidominant_point(kappa, group).coords
+    values += [c for alpha in group.simple_roots for c in alpha.coords]
     assert values and all(type(v) is Fraction for v in values)
 
 

@@ -34,8 +34,15 @@ from oracles import brute_vector_partitions
 from test_rootsys import ORDER_SPECS, _label
 
 GOLDEN = Path(__file__).parent / "golden"
-# The longest integer argparse reads: Python turns at most 4300 digits into an int.
+# The longest integer int() reads: Python turns at most 4300 digits into an int.
 HUGE = "9" * 4300
+# Past what int() reads: the CLI counts the digits of an integer first.
+PAST_INT = "9" * 5000
+# Two 50-digit denominators: the grading's common denominator has 100.
+NON_INTEGRAL_GRADING = [
+    "analyze", "--algebra", "C2", "--embedding",
+    f"vector:1/{3 * 10**49 + 1},1/{7 * 10**49 + 3}",
+]
 
 GOLDEN_COMMANDS = {
     "analyze_sl2xsl2-diagonal.json": ["analyze", "--fixture", "sl2xsl2-diagonal"],
@@ -258,22 +265,33 @@ EXIT_CASES = [
     # list is built, so a list past MAX_CUTOFF cannot turn it into exit 3.
     (["character", "--fixture", "sp4-principal", "--cutoff", "10", "--mu=-19990"], 2),
     (["character", "--fixture", "sp4-principal", "--cutoff", "10", "--mu=-19993"], 2),
-    # Two 50-digit denominators: the grading's common denominator has 100.
-    (["analyze", "--algebra", "C2", "--embedding",
-      f"vector:1/{3 * 10**49 + 1},1/{7 * 10**49 + 3}"], 2),
+    (NON_INTEGRAL_GRADING, 2),
+    # Integer options past what int() reads, and GHCSERIES_CUTOFF (set by a
+    # leading NAME=VALUE entry, as in a shell): over the ceiling, not malformed.
+    (["character", "--fixture", "sp4-principal", "--mu", "0", "--cutoff", PAST_INT], 3),
+    (["character", "--fixture", "sp4-principal", "--mu", PAST_INT, "--cutoff", "10"], 3),
+    (["character", "--fixture", "sp4-principal", "--mu", "0", "--dim-e", PAST_INT,
+      "--cutoff", "10"], 3),
+    (["iwasawa", "--a", PAST_INT], 3),
+    (["GHCSERIES_CUTOFF=" + PAST_INT, "character", "--fixture", "sp4-principal",
+      "--mu", "0"], 3),
 ]
 
 
 @pytest.mark.parametrize("args,code", EXIT_CASES)
-def test_error_exit_codes(args, code, capsys):
+def test_error_exit_codes(args, code, capsys, monkeypatch):
+    if args[0].startswith("GHCSERIES_"):
+        monkeypatch.setenv(*args[0].split("=", 1))
+        args = args[1:]
     assert main(args) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Fraction(" not in err
+    assert "9" * (MAX_RATIONAL_DIGITS + 1) not in err
 
 
 def test_non_integral_grading_names_the_root_and_its_exact_value(capsys):
-    assert main(EXIT_CASES[-1][0]) == 2
+    assert main(NON_INTEGRAL_GRADING) == 2
     assert capsys.readouterr().err == (
         "error: NonIntegralGrading: root (1, 1) evaluates to non-integer "
         "100000000000000000000000000000000000000000000000004/"

@@ -66,11 +66,19 @@ def _imports_linalg(node) -> bool:
     return any(name.split(".")[-1] == "linalg" for name in names)
 
 
+def _names_lcm(node) -> bool:
+    return (isinstance(node, ast.alias) and node.name == "lcm") or (
+        isinstance(node, ast.Attribute) and node.attr == "lcm"
+    )
+
+
 def test_only_rootsys_knows_the_trace_zero_realization_and_no_module_solves_systems():
-    """Only rootsys reads the trace-zero families; no module imports a linear solver."""
+    """Only rootsys reads the trace-zero families or takes common denominators
+    (math.lcm: the integer layer); no module imports a linear solver."""
     assert _modules_where(_names_trace_zero_families) == {"rootsys"}
     assert _modules_where(_imports_linalg) == set()
     assert not (Path(ghcseries.__file__).parent / "linalg.py").exists()
+    assert _modules_where(_names_lcm) == {"rootsys"}
 
 
 def _third_party_import(node) -> bool:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -46,7 +47,24 @@ def test_src_size_matches_a_direct_count():
         for line in path.read_text().splitlines()
         if line.strip()
     )
+    # A private name imported from another module is a global of the importer
+    # whose __module__ is that other module (every one so far is a function).
+    modules = [
+        importlib.import_module("ghcseries" if path.stem == "__init__" else f"ghcseries.{path.stem}")
+        for path in (ROOT / "src" / "ghcseries").glob("*.py")
+        if path.stem != "__main__"
+    ]
+    private = sum(
+        1
+        for module in modules
+        for name, value in vars(module).items()
+        if name.startswith("_")
+        and not name.startswith("__")
+        and str(getattr(value, "__module__", None)).startswith("ghcseries.")
+        and value.__module__ != module.__name__
+    )
     assert json.loads(result.stdout) == {
         "src_lines": lines,
         "exports": len(ghcseries.__all__),
+        "private_imports": private,
     }
