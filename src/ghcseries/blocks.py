@@ -4,19 +4,17 @@ A block is the dot-orbit of a central character through the adapted
 positive system: every element carries nu = w(kappa) - rho_tilde, its
 t-weight omega = nu(h) and minimal k-type mu = omega + 2 rho_n-perp.
 For a Cartan Levi, regular central character and total rank at most 2
-the composition multiplicities of the produced modules reduce to the
-Bruhat order of the integral Weyl subgroup, every Kazhdan-Lusztig
-polynomial of a dihedral group being 1; socle k-characters follow by
-inverting the matrix.  The Bruhat order itself (rootsys.bruhat_leq_over,
-read on positions in the shared WeylGroup of a linkage class) works at any
-rank; above total rank 2 the Kazhdan-Lusztig corrections are not computed,
-so the matrix is refused there with UnsupportedRank.  A linkage class is
-placed from its antidominant point, reached by simple reflections: its
-orbit, in group order, maps each point to a group position.  Orbits,
-coroot pairings and placements are computed on int vectors at the block's
-one scale, through the integer layer of rootsys (_scale, _pairing, _orbit,
-_antidominant); every returned weight and t-weight is built once, with
-Fraction coordinates.
+the multiplicities reduce to the Bruhat order of the integral Weyl
+subgroup (every Kazhdan-Lusztig polynomial of a dihedral group is 1);
+above total rank 2 the matrix is refused with UnsupportedRank.  Socle
+k-characters follow by inverting the matrix.  Orbits, pairings and the
+placement of each linkage class from its antidominant point run on int
+vectors at the block's one scale, through the integer layer of rootsys;
+the matrix reads each element's int point off the pass that builds the
+element, and every returned weight has Fraction coordinates.  A block or
+socle query is one call, _block_query: the kappa length, then the
+pair-only regime before any Weyl group is built, then the central
+character and the matrix.
 """
 
 from __future__ import annotations
@@ -27,8 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import add, itemgetter, mul
 
-from . import charseries
-from .charseries import ModuleDatumE
+from .charseries import ModuleDatumE, _f1_combination
 from .errors import (
     InternalInconsistency,
     InvalidInput,
@@ -134,6 +131,12 @@ def enumerate_block(
     to m-dominant-integral ones and dim E comes from the rank-1 Weyl
     dimension formula.  Larger Levis are not supported.
     """
+    return _block_points(kappa, p)[0]
+
+
+def _block_points(kappa: CentralCharacter, p: CompatibleParabolic) -> tuple[tuple, list, int]:
+    """enumerate_block's elements, each one's int point w(kappa) at the block's
+    scale, and that scale."""
     rs = p.embedding.rs
     if kappa.rs != rs:
         raise InvalidInput("central character belongs to a different root system")
@@ -170,9 +173,9 @@ def enumerate_block(
             if r or pairing < 0:
                 continue
             dim_e = pairing + 1
-        keyed.append((omega + shift, nu, omega, dim_e, first[x], count))
+        keyed.append((omega + shift, nu, omega, dim_e, first[x], count, x))
     keyed.sort(key=itemgetter(0, 1))
-    return tuple(
+    elements = tuple(
         BlockElement(
             w=w,
             nu=_unscaled(nu, scale),
@@ -181,8 +184,9 @@ def enumerate_block(
             dim_e=dim_e,
             merged_count=count,
         )
-        for mu, nu, omega, dim_e, w, count in keyed
+        for mu, nu, omega, dim_e, w, count, _ in keyed
     )
+    return elements, [key[-1] for key in keyed], scale
 
 
 def integral_weyl_subgroup(
@@ -256,15 +260,11 @@ def multiplicity_matrix(
         raise SingularBlockUnsupported("a regular central character is required")
     rs = p.embedding.rs
 
-    elements = enumerate_block(kappa, p)
     # Every key -(nu + rho_tilde_adapted) = -w(kappa) is an int vector at the
     # block's scale, and so is every point of its linkage class: the walk to
     # the class's antidominant point and the class's orbit run at that scale.
-    scale = _scale(rs.simple_roots, kappa.representative, p.rho_tilde_adapted)
-    rho = _scaled(p.rho_tilde_adapted, scale)
-    keys = [
-        tuple([-(a + b) for a, b in zip(_scaled(e.nu, scale), rho)]) for e in elements
-    ]
+    elements, points, scale = _block_points(kappa, p)
+    keys = [tuple([-a for a in x]) for x in points]
 
     # One dict per linkage class: each point of the class -> the position of
     # the element of the class's integral group that places the antidominant
@@ -330,6 +330,17 @@ def multiplicity_matrix(
     )
 
 
+def _block_query(kappa: Weight, p: CompatibleParabolic) -> tuple[CentralCharacter, MultiplicityMatrix]:
+    """The central character of kappa and its multiplicity matrix; a kappa of the
+    wrong length is invalid input first, and an unsupported pair exits before
+    any Weyl group is built."""
+    rs = p.embedding.rs
+    _check_kappa_length(kappa, rs)
+    _check_matrix_regime(p)
+    central = central_character_from_kappa(kappa, rs)
+    return central, multiplicity_matrix(central, p)
+
+
 def _invert_unitriangular(m):
     """Invert an integer matrix that is unitriangular in the given order."""
     n = len(m)
@@ -376,9 +387,8 @@ def socle_k_character(
 ) -> SocleCharacterResult:
     """Alternating combination sum_D p(E, D) ch_k F1(p, D) through cutoff.
 
-    Every term is checked before anything is built, in row order; the F1
-    list of D is the prefix through cutoff - mu_D of one partition list
-    through cutoff - min mu_D.
+    Every term is checked before anything is built, in row order, and the
+    F1 characters are read off one partition list.
     """
     try:
         i = matrix.elements.index(element)
@@ -386,23 +396,9 @@ def socle_k_character(
         raise InvalidInput("element does not belong to this block") from None
     if element.mu < 0:
         raise OutOfRegime(f"socle formula requires mu >= 0, got {element.mu}")
-    terms = []
-    for j, coeff in enumerate(matrix.p_matrix[i]):
-        if coeff == 0:
-            continue
-        d = matrix.elements[j]
-        if d.omega.denominator != 1:
-            raise InvalidInput("block element carries a non-integral t-weight")
-        E = ModuleDatumE(omega=int(d.omega), dim_e=d.dim_e)
-        terms.append((coeff, charseries._f1_mu(p, E, cutoff), E.dim_e))
-    low = min((mu for _, mu, _ in terms), default=cutoff + 1)
-    counts = charseries._partition_counts(p.n_weights, cutoff - low)
-    accum: dict[int, int] = {}
-    for coeff, mu, dim_e in terms:
-        # A negative stop would keep entries, so clamp it at 0.
-        term = charseries._f1_mults(mu, dim_e, counts[: max(cutoff - mu + 1, 0)])
-        for delta, c in term.items():
-            accum[delta] = accum.get(delta, 0) + coeff * c
+    row = zip(matrix.p_matrix[i], matrix.elements)
+    # Lazy, so that each term's datum is checked just before its F1 regime.
+    accum = _f1_combination(p, ((c, _module_datum(d)) for c, d in row if c), cutoff)
     if any(c < 0 for c in accum.values()):
         raise InternalInconsistency("socle character went negative")
     character = KCharacter(accum, cutoff=cutoff, virtual=False)
@@ -411,6 +407,12 @@ def socle_k_character(
     return SocleCharacterResult(
         element=element, character=character, genuine_socle=genuine
     )
+
+
+def _module_datum(d: BlockElement) -> ModuleDatumE:
+    if d.omega.denominator != 1:
+        raise InvalidInput("block element carries a non-integral t-weight")
+    return ModuleDatumE(omega=int(d.omega), dim_e=d.dim_e)
 
 
 @dataclass(frozen=True)

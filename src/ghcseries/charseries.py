@@ -93,9 +93,6 @@ def _t_mults(mu: int, dim_e: int, counts: list[int], size: int) -> dict[int, int
 
     Entry i of counts is the partition count of i, so it sits at t-weight
     mu + 2 + i; zero entries are left out, and a size <= 0 reads nothing.
-    The F1 list through cutoff - mu holds the t-character list through
-    cutoff - mu - 2 as its first cutoff - mu - 1 entries, so one list
-    serves both characters.
     """
     return {mu + 2 + i: dim_e * counts[i] for i in range(size) if counts[i]}
 
@@ -165,3 +162,37 @@ def _f1_mults(mu: int, dim_e: int, counts: list[int]) -> dict[int, int]:
         if c:
             mults[mu + i] = c
     return mults
+
+
+def _f1_combination(p: CompatibleParabolic, terms, cutoff: int) -> dict[int, int]:
+    """sum coeff ch_k F1(p, E) through cutoff over the (coeff, E) terms, each
+    checked in turn first; F1 of E reads the prefix through cutoff - mu_E of
+    one partition list through cutoff - min mu_E."""
+    checked = [(coeff, _f1_mu(p, E, cutoff), E.dim_e) for coeff, E in terms]
+    low = min((mu for _, mu, _ in checked), default=cutoff + 1)
+    counts = _partition_counts(p.n_weights, cutoff - low)
+    accum: dict[int, int] = {}
+    for coeff, mu, dim_e in checked:
+        # A negative stop would keep entries, so clamp it at 0.
+        for delta, c in _f1_mults(mu, dim_e, counts[: max(cutoff - mu + 1, 0)]).items():
+            accum[delta] = accum.get(delta, 0) + coeff * c
+    return accum
+
+
+def _character_mults(p, mu: int, dim_e: int, cutoff: int, allow_virtual: bool):
+    """N's t- and F1's k-multiplicities through cutoff; for mu < 0, allowed only
+    with allow_virtual, the negated Euler character stands in for F1.
+
+    One partition list through cutoff - mu serves both: N is its prefix
+    through cutoff - mu - 2, while F1, and the Euler character's N through
+    cutoff + 2, read all of it.
+    """
+    ModuleDatumE(omega=mu - p.two_rho_n_perp, dim_e=dim_e)  # refuses dim E < 1
+    if mu < 0 and not allow_virtual:
+        raise OutOfRegime(f"mu = {mu} < 0 has no vanishing guarantee; pass --allow-virtual")
+    counts = _partition_counts(p.n_weights, cutoff - mu)
+    t_mults = _t_mults(mu, dim_e, counts, cutoff - mu - 1)
+    if mu >= 0:
+        return t_mults, _f1_mults(mu, dim_e, counts)
+    n_char = TruncatedTCharacter(_t_mults(mu, dim_e, counts, len(counts)), window=(None, cutoff + 2))
+    return t_mults, {d: -c for d, c in euler_k_character(n_char, cutoff).mults.items()}

@@ -4,10 +4,12 @@ Exit codes: 0 success, 2 invalid input, 3 declared-unsupported regime,
 4 internal inconsistency.  Output goes to stdout as JSON (default) or
 an aligned table; identical inputs produce byte-identical output.
 
-Each (g, sl(2)) pair is built once per process: the first call that names
-it builds the embedding and its minimal parabolic, and every later call,
-whichever spelling it uses, shares them.  The pairs of one algebra share
-one root system, also built once per process.
+Each command parses its options, makes one library call and renders the
+result: charseries._character_mults for character, blocks._block_query for
+block and socle.  Each (g, sl(2)) pair is built once per process: the first
+call that names it builds its root system, embedding and minimal parabolic,
+and every later call, whichever spelling it uses, shares them.  A message
+about input text quotes it through errors._excerpt.
 """
 
 from __future__ import annotations
@@ -17,23 +19,9 @@ import functools
 import os
 import sys
 
-from . import charseries
-from .blocks import (
-    _check_kappa_length,
-    _check_matrix_regime,
-    central_character_from_kappa,
-    iwasawa_sl3_support,
-    multiplicity_matrix,
-    socle_k_character,
-)
-from .charseries import (
-    MAX_CUTOFF,
-    ModuleDatumE,
-    _f1_mults,
-    _t_mults,
-    euler_k_character,
-)
-from .errors import GhcseriesError, InvalidInput, OutOfRegime, UnsupportedRegime
+from .blocks import _block_query, iwasawa_sl3_support, socle_k_character
+from .charseries import MAX_CUTOFF, _character_mults
+from .errors import GhcseriesError, InvalidInput, UnsupportedRegime, _excerpt
 from .fixtures import (
     MAX_RATIONAL_DIGITS,
     get_fixture,
@@ -43,8 +31,8 @@ from .fixtures import (
 )
 from .parabolic import bounds_report, invariants, minimal_parabolic
 from .report import character_pairs, rational, render_json, render_table, weight_coords
-from .rootsys import RootSystem, Weight, build_root_system
-from .sl2embed import TruncatedTCharacter, is_regular
+from .rootsys import Weight, build_root_system
+from .sl2embed import is_regular
 
 DEFAULT_CUTOFF = 60
 
@@ -120,7 +108,7 @@ def _integer(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_excerpt(text)}") from None
 
 
 def _cutoff(args) -> int:
@@ -130,7 +118,9 @@ def _cutoff(args) -> int:
         try:
             value = _integer(raw)
         except argparse.ArgumentTypeError:
-            raise InvalidInput(f"GHCSERIES_CUTOFF must be an integer, got {raw!r}") from None
+            raise InvalidInput(
+                f"GHCSERIES_CUTOFF must be an integer, got {_excerpt(raw)}"
+            ) from None
     if value < 0:
         raise InvalidInput("cutoff must be nonnegative")
     if value > MAX_CUTOFF:
@@ -138,13 +128,10 @@ def _cutoff(args) -> int:
     return value
 
 
-# (parsed algebra, embedding text) -> (embedding, its minimal parabolic), and
-# parsed algebra -> its root system, each built at most once per process: the
-# embeddings of one algebra share its root system.  Every call that names the
-# pair gets the same objects; treat them as immutable.  A build that raises
-# is not stored.
+# (parsed algebra, embedding text) -> (embedding, its minimal parabolic), built
+# at most once per process.  Every call that names the pair gets the same
+# objects; treat them as immutable.  A build that raises is not stored.
 _PAIRS: dict[tuple, tuple] = {}
-_ROOT_SYSTEMS: dict[tuple, RootSystem] = {}
 
 
 def _resolve_pair(args):
@@ -162,10 +149,7 @@ def _resolve_pair(args):
     spec = parse_algebra(algebra)
     built = _PAIRS.get((spec, embedding))
     if built is None:
-        rs = _ROOT_SYSTEMS.get(spec)
-        if rs is None:
-            rs = _ROOT_SYSTEMS[spec] = build_root_system(spec)
-        emb = parse_embedding(embedding, rs)
+        emb = parse_embedding(embedding, build_root_system(spec))
         built = _PAIRS[spec, embedding] = (emb, minimal_parabolic(emb))
     emb, p = built
     pair.update(
@@ -248,32 +232,12 @@ def cmd_character(args) -> dict:
     pair, emb, p = _resolve_pair(args)
     cutoff = _cutoff(args)
     mu, dim_e = args.mu, args.dim_e
-    omega = mu - p.two_rho_n_perp
-    ModuleDatumE(omega=omega, dim_e=dim_e)  # refuses dim E < 1
-    virtual = mu < 0
-    if virtual and not args.allow_virtual:
-        raise OutOfRegime(
-            f"mu = {mu} < 0 has no vanishing guarantee; pass --allow-virtual"
-        )
-    # One partition list through cutoff - mu: the printed t-character is its
-    # prefix through cutoff - mu - 2, while F1, and the Euler character's N
-    # through cutoff + 2, read all of it.  It is looked up on the module so
-    # that a test can count the lists.
-    counts = charseries._partition_counts(p.n_weights, cutoff - mu)
-    n_mults = _t_mults(mu, dim_e, counts, cutoff - mu - 1)
-    if virtual:
-        n_char = TruncatedTCharacter(
-            _t_mults(mu, dim_e, counts, len(counts)), window=(None, cutoff + 2)
-        )
-        theta = euler_k_character(n_char, cutoff)
-        k_mults = {d: -c for d, c in theta.mults.items()}
-    else:
-        k_mults = _f1_mults(mu, dim_e, counts)
+    n_mults, k_mults = _character_mults(p, mu, dim_e, cutoff, args.allow_virtual)
     return {
         "command": "character",
         "pair": pair,
         "mu": mu,
-        "omega": omega,
+        "omega": mu - p.two_rho_n_perp,
         "dim_e": dim_e,
         "cutoff": cutoff,
         "t_character_N": {
@@ -282,7 +246,7 @@ def cmd_character(args) -> dict:
             "mults": character_pairs(n_mults),
         },
         "k_character_F1": {
-            "virtual": virtual,
+            "virtual": mu < 0,
             "mults": character_pairs(k_mults),
         },
     }
@@ -302,32 +266,19 @@ def _element_doc(element, orbit_id=None) -> dict:
     return doc
 
 
-def _block_central_character(args, p):
-    """The parsed --kappa and its central character, once the pair has a block.
-
-    The pair-only checks run before the Weyl group is built, so an
-    unsupported pair exits at once; a kappa of the wrong length is still
-    invalid input first.
-    """
-    kappa = Weight(parse_rationals(args.kappa))
-    _check_kappa_length(kappa, p.embedding.rs)
-    _check_matrix_regime(p)
-    return kappa, central_character_from_kappa(kappa, p.embedding.rs)
-
-
 def cmd_block(args) -> dict:
     pair, emb, p = _resolve_pair(args)
-    given, kappa = _block_central_character(args, p)
-    matrix = multiplicity_matrix(kappa, p)
+    kappa = Weight(parse_rationals(args.kappa))
+    central, matrix = _block_query(kappa, p)
     return {
         "command": "block",
         "pair": pair,
-        "kappa": weight_coords(given),
+        "kappa": weight_coords(kappa),
         "central_character": {
-            "representative": weight_coords(kappa.representative),
-            "regular": kappa.regular,
-            "integral": kappa.integral,
-            "orbit_size": kappa.orbit_size,
+            "representative": weight_coords(central.representative),
+            "regular": central.regular,
+            "integral": central.integral,
+            "orbit_size": central.orbit_size,
         },
         "integral_group_order": matrix.integral_group_order,
         "elements": [
@@ -342,8 +293,8 @@ def cmd_socle(args) -> dict:
     pair, emb, p = _resolve_pair(args)
     cutoff = _cutoff(args)
     mu = args.mu
-    given, kappa = _block_central_character(args, p)
-    matrix = multiplicity_matrix(kappa, p)
+    kappa = Weight(parse_rationals(args.kappa))
+    _, matrix = _block_query(kappa, p)
     hits = [e for e in matrix.elements if e.mu == mu]
     if not hits:
         mus = ", ".join(str(rational(e.mu)) for e in matrix.elements)
@@ -355,7 +306,7 @@ def cmd_socle(args) -> dict:
     return {
         "command": "socle",
         "pair": pair,
-        "kappa": weight_coords(given),
+        "kappa": weight_coords(kappa),
         "mu": mu,
         "cutoff": cutoff,
         "element": _element_doc(result.element),
@@ -376,7 +327,7 @@ def cmd_socle(args) -> dict:
 def cmd_iwasawa(args) -> dict:
     c = parse_rationals(args.c)
     if len(c) != 1:
-        raise InvalidInput(f"--c takes one rational, got {args.c!r}")
+        raise InvalidInput(f"--c takes one rational, got {_excerpt(args.c)}")
     support = iwasawa_sl3_support(args.a, c[0])
     return {
         "command": "iwasawa",

@@ -1,8 +1,19 @@
 """Error hierarchy shared by all modules.
 
 Three branches map onto the CLI exit codes: invalid input (2), declared
-unsupported regime (3), internal consistency violation (4).
+unsupported regime (3), internal consistency violation (4).  A message
+that repeats input text quotes it through _excerpt.
 """
+
+# Longest input text an error message repeats in full.
+_EXCERPT = 64
+
+
+def _excerpt(text: str, quote=repr) -> str:
+    """quote(text); past _EXCERPT characters, quote of its start and its length."""
+    if len(text) <= _EXCERPT:
+        return quote(text)
+    return f"{quote(text[:_EXCERPT])}... ({len(text)} characters)"
 
 
 class GhcseriesError(Exception):

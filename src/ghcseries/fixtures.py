@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInput, UnsupportedRegime
+from .errors import InvalidInput, UnsupportedRegime, _excerpt
 from .parabolic import CompatibleParabolic, minimal_parabolic
 from .rootsys import RootSystem, Weight, build_root_system
 from .sl2embed import Sl2Embedding, from_defining_vector, from_principal, from_root
@@ -32,7 +32,7 @@ def parse_algebra(text: str) -> tuple[tuple[str, int], ...]:
         m = _ALGEBRA_PART.fullmatch(chunk.strip())
         if not m:
             raise InvalidInput(
-                f"cannot parse algebra component {chunk!r}; expected e.g. C2 or A1+A1"
+                f"cannot parse algebra component {_excerpt(chunk)}; expected e.g. C2 or A1+A1"
             )
         parts.append((m.group(1).upper(), int(m.group(2))))
     return tuple(parts)
@@ -51,7 +51,7 @@ def _rational(chunk: str) -> Fraction:
     try:
         return Fraction(chunk)
     except (ValueError, ZeroDivisionError):
-        raise InvalidInput(f"cannot parse rational {chunk!r}") from None
+        raise InvalidInput(f"cannot parse rational {_excerpt(chunk)}") from None
 
 
 def parse_rationals(text: str) -> tuple[Fraction, ...]:
@@ -66,7 +66,7 @@ def parse_embedding(text: str, rs: RootSystem) -> Sl2Embedding:
     if text.startswith("vector:"):
         return from_defining_vector(rs, Weight(parse_rationals(text[len("vector:"):])))
     raise InvalidInput(
-        f"cannot parse embedding {text!r}; expected principal, root:..., or vector:..."
+        f"cannot parse embedding {_excerpt(text)}; expected principal, root:..., or vector:..."
     )
 
 
@@ -104,4 +104,4 @@ def get_fixture(name: str) -> FixturePair:
         return FIXTURES[name]
     except KeyError:
         known = ", ".join(sorted(FIXTURES))
-        raise InvalidInput(f"unknown fixture {name!r}; available: {known}") from None
+        raise InvalidInput(f"unknown fixture {_excerpt(name)}; available: {known}") from None

@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import add
 from typing import Sequence
 
-from .errors import InternalInconsistency, InvalidInput
+from .errors import InternalInconsistency, InvalidInput, _excerpt
 from .rootsys import RootSystem, Weight, _half_sum, _int_coords, inner_product, lex_positive
 from .sl2embed import Sl2Embedding
 
@@ -97,7 +97,7 @@ def _by_convention(convention: str, n_value, perp_value):
         return n_value
     if convention == "perp":
         return perp_value
-    raise InvalidInput(f"unknown lambda convention {convention!r}")
+    raise InvalidInput(f"unknown lambda convention {_excerpt(convention)}")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .errors import (
     NotARoot,
     NotIntegrable,
     WindowTooNarrow,
+    _excerpt,
 )
 from .report import rational
 from .rootsys import RootSystem, Weight, _int_root, _scale, _scaled, _unscaled, inner_product
@@ -197,7 +198,7 @@ def from_root(rs: RootSystem, beta) -> Sl2Embedding:
     try:
         index = rs.roots.index(beta_w)
     except ValueError:
-        raise NotARoot(f"{_point(beta_w)} is not a root") from None
+        raise NotARoot(f"{_excerpt(_point(beta_w), quote=str)} is not a root") from None
     h_vec = beta_w.scaled(Fraction(2) / inner_product(beta_w, beta_w))
     emb = _validated(rs, h_vec, kind="root")
     if emb.grading[index] != 2:

@@ -206,9 +206,33 @@ def test_matrix_reads_the_group_memo_once_per_linkage_class(spec, kappas, monkey
         )
         before = memo.reads
         matrix = multiplicity_matrix(kappa, p)
-        # One more read: the full group that enumerate_block walks.
+        # One more read: the full group that the block's one pass walks.
         assert memo.reads - before == len(set(matrix.orbit_ids)) + 1, text
     assert comparisons[0] > 0
+
+
+@pytest.mark.parametrize("spec,kappas", LINKAGE_CASES)
+def test_matrix_takes_each_int_point_from_the_block_pass(spec, kappas, monkeypatch):
+    """No element's Fraction nu is scaled back to ints: the matrix reads each
+    element's int point off the pass that builds the element."""
+    scaled = blocks._scaled
+    seen = []
+
+    def recorded(w, scale):
+        seen.append(w)
+        return scaled(w, scale)
+
+    monkeypatch.setattr(blocks, "_scaled", recorded)
+    rs = build_root_system((spec,))
+    p = minimal_parabolic(from_principal(rs))
+    for text in kappas:
+        kappa = central_character_from_kappa(
+            Weight.of(*(Fraction(c) for c in text.split(","))), rs
+        )
+        seen.clear()
+        matrix = multiplicity_matrix(kappa, p)
+        assert seen
+        assert not any(w is e.nu for w in seen for e in matrix.elements), text
 
 
 def _antidominant_point(point, group, factor=1):

@@ -38,6 +38,9 @@ GOLDEN = Path(__file__).parent / "golden"
 HUGE = "9" * 4300
 # Past what int() reads: the CLI counts the digits of an integer first.
 PAST_INT = "9" * 5000
+# Malformed input texts far past what an error message repeats in full.
+LONG = "x" * 5000
+LONG_LIST = ",".join(["1"] * 2501)
 # Two 50-digit denominators: the grading's common denominator has 100.
 NON_INTEGRAL_GRADING = [
     "analyze", "--algebra", "C2", "--embedding",
@@ -275,6 +278,19 @@ EXIT_CASES = [
     (["iwasawa", "--a", PAST_INT], 3),
     (["GHCSERIES_CUTOFF=" + PAST_INT, "character", "--fixture", "sp4-principal",
       "--mu", "0"], 3),
+    # Malformed long texts: each message shows an excerpt and the length.
+    (["character", "--fixture", "sp4-principal", "--mu", LONG], 2),
+    (["character", "--fixture", "sp4-principal", "--mu", "0", "--cutoff", LONG], 2),
+    (["character", "--fixture", "sp4-principal", "--mu", "0", "--dim-e", LONG], 2),
+    (["GHCSERIES_CUTOFF=" + LONG, "character", "--fixture", "sp4-principal", "--mu", "0"], 2),
+    (["block", "--fixture", "sp4-principal", "--kappa", LONG], 2),
+    (["analyze", "--algebra", LONG, "--embedding", "principal"], 2),
+    (["analyze", "--fixture", LONG], 2),
+    (["analyze", "--algebra", "C2", "--embedding", LONG], 2),
+    (["analyze", "--algebra", "C2", "--embedding", "root:" + LONG], 2),
+    (["analyze", "--algebra", "C2", "--embedding", "root:" + LONG_LIST], 2),
+    (["iwasawa", "--a", LONG], 2),
+    (["iwasawa", "--a", "1", "--c", LONG_LIST], 2),
 ]
 
 
@@ -283,9 +299,14 @@ def test_error_exit_codes(args, code, capsys, monkeypatch):
     if args[0].startswith("GHCSERIES_"):
         monkeypatch.setenv(*args[0].split("=", 1))
         args = args[1:]
-    assert main(args) == code
+    try:
+        returned, usage = main(args), False
+    except SystemExit as exc:  # argparse prints its usage, then the error
+        returned, usage = exc.code, True
+    assert returned == code
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith("usage: " if usage else "error: ")
+    assert len(err.encode()) < 1000
     assert "Fraction(" not in err
     assert "9" * (MAX_RATIONAL_DIGITS + 1) not in err
 
@@ -466,9 +487,8 @@ def test_characters_from_one_list_match_brute_partitions(algebra, mu, cutoff, di
 
 @pytest.fixture
 def pairs(monkeypatch):
-    """Empty pair and root-system memos for this test; returns the pair dict the CLI fills."""
+    """An empty pair memo for this test; returns the pair dict the CLI fills."""
     monkeypatch.setattr(cli, "_PAIRS", {})
-    monkeypatch.setattr(cli, "_ROOT_SYSTEMS", {})
     return cli._PAIRS
 
 
@@ -532,7 +552,7 @@ DEEP_PAIRS = [
 ]
 
 
-def test_the_embeddings_of_one_algebra_share_one_root_system(pairs, capsys, monkeypatch):
+def test_each_deep_pair_is_built_once_per_process(pairs, capsys, monkeypatch):
     built = []
     build = cli.build_root_system
 
@@ -541,15 +561,20 @@ def test_the_embeddings_of_one_algebra_share_one_root_system(pairs, capsys, monk
         return build(spec)
 
     monkeypatch.setattr(cli, "build_root_system", counted)
-    for algebra, embedding in DEEP_PAIRS * 2:
-        argv = ["character", "--algebra", algebra, "--embedding", embedding,
-                "--mu", "1", "--cutoff", "8"]
-        assert main(argv) == 0
+    stored = []
+    for _ in range(2):
+        for algebra, embedding in DEEP_PAIRS:
+            argv = ["character", "--algebra", algebra, "--embedding", embedding,
+                    "--mu", "1", "--cutoff", "8"]
+            assert main(argv) == 0
+        stored.append(dict(pairs))
     capsys.readouterr()
-    assert len(built) == 5
-    assert set(built) == {parse_algebra(algebra) for algebra, _ in DEEP_PAIRS}
-    assert len(pairs) == 10
-    assert all(emb.rs is cli._ROOT_SYSTEMS[spec] for (spec, _), (emb, _) in pairs.items())
+    # One root system per pair on the first pass, none on the second.
+    assert built == [parse_algebra(algebra) for algebra, _ in DEEP_PAIRS]
+    first, second = stored
+    assert len(first) == 10
+    assert second.keys() == first.keys()
+    assert all(second[key] is first[key] for key in first)
 
 
 SESSION_POOL = [
@@ -614,6 +639,11 @@ def test_cutoff_environment_override(capsys, monkeypatch):
     assert doc["cutoff"] == 12
     monkeypatch.setenv("GHCSERIES_CUTOFF", "many")
     assert main(["character", "--fixture", "sp4-principal", "--mu", "0"]) == 2
+    message = "error: InvalidInput: GHCSERIES_CUTOFF must be an integer, got "
+    assert capsys.readouterr().err == message + "'many'\n"
+    monkeypatch.setenv("GHCSERIES_CUTOFF", LONG)
+    assert main(["character", "--fixture", "sp4-principal", "--mu", "0"]) == 2
+    assert capsys.readouterr().err == message + f"{LONG[:64]!r}... (5000 characters)\n"
     monkeypatch.setenv("GHCSERIES_CUTOFF", str(MAX_CUTOFF + 1))
     assert main(["character", "--fixture", "sp4-principal", "--mu", "0"]) == 3
     assert f"cutoff {MAX_CUTOFF + 1} exceeds" in capsys.readouterr().err

@@ -93,3 +93,33 @@ def _third_party_import(node) -> bool:
 
 def test_the_library_imports_only_itself_and_the_standard_library():
     assert _modules_where(_third_party_import) == set()
+
+
+def test_cli_makes_one_private_call_into_blocks_and_charseries():
+    """cli parses, calls and renders: it takes at most one private name each
+    from blocks and charseries, none from the other layers, and reads no
+    private attribute off a module."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private: dict[str, list[str]] = {}
+    siblings = set()  # names bound by from . import MODULE
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            private.setdefault(node.module, []).extend(
+                a.name for a in node.names if a.name.startswith("_")
+            )
+            if node.module is None:
+                siblings.update(a.asname or a.name for a in node.names)
+    for layer in ("rootsys", "sl2embed", "parabolic", "cohomology", "report", None):
+        assert private.get(layer, []) == [], layer
+    assert len(private.get("blocks", [])) <= 1
+    assert len(private.get("charseries", [])) <= 1
+    assert not [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in siblings
+        and node.attr.startswith("_")
+    ]
+    # perfbench builds its pairs through these two.
+    assert cli.parse_algebra and cli.parse_embedding

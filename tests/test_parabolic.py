@@ -208,6 +208,9 @@ def test_every_convention_selector_refuses_an_unknown_convention():
         with pytest.raises(InvalidInput) as exc:
             select("sideways")
         assert str(exc.value) == "unknown lambda convention 'sideways'"
+        with pytest.raises(InvalidInput) as exc:
+            select("s" * 5000)
+        assert str(exc.value) == f"unknown lambda convention {'s' * 64!r}... (5000 characters)"
 
 
 def test_threshold_ceiling():
