@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 
 from .blocks import _block_query, iwasawa_sl3_support, socle_k_character
@@ -37,8 +38,36 @@ from .sl2embed import is_regular
 DEFAULT_CUTOFF = 60
 
 
+# The input text in each argparse message that repeats some: all that
+# follows "unrecognized arguments: ", an ambiguous option up to the options
+# it could match, and any quoted value (invalid choice, ignored explicit
+# argument).
+_ECHOED = (
+    r"(?s)(?<=unrecognized arguments: ).*"
+    r"|(?<=ambiguous option: ).*(?= could match --)"
+    r"|'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\""
+)
+
+
+def _excerpt_echo(match) -> str:
+    """An echoed text through _excerpt; a quoted one keeps its quotes."""
+    text = match.group()
+    quote = text[0]
+    if quote in "'\"" and len(text) > 1 and text[-1] == quote:
+        return _excerpt(text[1:-1], lambda inner: quote + inner + quote)
+    return _excerpt(text, str)
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose own error messages quote input through _excerpt;
+    add_subparsers builds its subparsers with the same class."""
+
+    def error(self, message):
+        super().error(re.sub(_ECHOED, _excerpt_echo, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ghcseries",
         description=(
             "Exact invariants, characters and multiplicity matrices for "
@@ -232,7 +261,7 @@ def cmd_character(args) -> dict:
     pair, emb, p = _resolve_pair(args)
     cutoff = _cutoff(args)
     mu, dim_e = args.mu, args.dim_e
-    n_mults, k_mults = _character_mults(p, mu, dim_e, cutoff, args.allow_virtual)
+    n_rows, k_rows = _character_mults(p, mu, dim_e, cutoff, args.allow_virtual)
     return {
         "command": "character",
         "pair": pair,
@@ -243,11 +272,11 @@ def cmd_character(args) -> dict:
         "t_character_N": {
             "min_weight": mu + 2,
             "window_hi": cutoff,
-            "mults": character_pairs(n_mults),
+            "mults": n_rows,
         },
         "k_character_F1": {
             "virtual": mu < 0,
-            "mults": character_pairs(k_mults),
+            "mults": k_rows,
         },
     }
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ghcseries import FIXTURES, cohomology, get_fixture, rootsys
+from ghcseries import FIXTURES, charseries, cohomology, get_fixture, rootsys
 
 settings.register_profile(
     "exact",
@@ -58,4 +58,19 @@ def perp_powers(monkeypatch):
     monkeypatch.setattr(cohomology, "_PERP_POWERS", {})
     monkeypatch.setattr(cohomology, "_exterior_powers", counted_build)
     monkeypatch.setattr(cohomology, "exterior_weights", counted_public)
+    return count
+
+
+@pytest.fixture
+def partition_tables(monkeypatch):
+    """Count the partition-table entries grown, starting from an empty table memo."""
+    count = [0]
+    grow = charseries._grown
+
+    def counted(table, weights, size):
+        count[0] += size - len(table[0])
+        return grow(table, weights, size)
+
+    monkeypatch.setattr(charseries, "_TABLES", {})
+    monkeypatch.setattr(charseries, "_grown", counted)
     return count

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghcseries import (
@@ -20,16 +21,17 @@ from ghcseries import (
     partition_function,
     t_character_N,
 )
+from ghcseries import charseries
 from ghcseries.charseries import MAX_CUTOFF, _partition_counts
 from oracles import brute_vector_partitions, koszul_euler_coefficient
 
 
-def test_partition_table_frozen_values():
-    counts = _partition_counts((2, 2, 4, 6), 21)
+def test_partition_table_frozen_values(partition_tables):
+    # Every weight is even, so the table steps by 2 and the odd counts are 0.
     expected = [1, 2, 4, 7, 11, 16, 23, 31, 41, 53, 67]
-    assert counts[0::2] == expected
-    assert counts[1::2] == [0] * 11
-    assert _partition_counts((2, 2, 4, 6), -4) == []
+    assert _partition_counts((2, 2, 4, 6), 21) == (2, expected)
+    assert [partition_function((2, 2, 4, 6), x) for x in range(22)][1::2] == [0] * 11
+    assert _partition_counts((2, 2, 4, 6), -4) == (2, [])
     assert partition_function((2, 2, 4, 6), -4) == 0
 
 
@@ -42,9 +44,9 @@ def test_partition_table_rejects_nonpositive_weights():
         partition_function((2, -1), 3)
 
 
-def test_partition_lists_stop_at_the_ceiling():
+def test_partition_lists_stop_at_the_ceiling(partition_tables):
     assert MAX_CUTOFF > 800
-    assert len(_partition_counts((2, 2, 4, 6), MAX_CUTOFF)) == MAX_CUTOFF + 1
+    assert len(_partition_counts((1, 2, 2, 4, 6), MAX_CUTOFF)[1]) == MAX_CUTOFF + 1
     with pytest.raises(UnsupportedRegime):
         _partition_counts((2, 2, 4, 6), MAX_CUTOFF + 1)
     with pytest.raises(UnsupportedRegime):
@@ -60,9 +62,49 @@ def test_partition_function_matches_enumeration(weights, x):
     assert partition_function(weights, x) == brute_vector_partitions(weights, x)
 
 
-def test_partition_table_is_lazy_but_consistent():
-    low = _partition_counts((1, 2), 4)
-    high = _partition_counts((1, 2), 40)
+_GCD_ONE_BASES = st.lists(st.integers(1, 5), min_size=1, max_size=4).filter(
+    lambda ws: math.gcd(*ws) == 1
+)
+
+
+@settings(max_examples=80)
+@given(
+    st.lists(_GCD_ONE_BASES, min_size=1, max_size=2),
+    st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=3, unique=True),
+    st.lists(st.integers(-3, 40), min_size=1, max_size=5),
+    st.sampled_from(["ascending", "descending", "repeated", "drawn"]),
+    st.booleans(),
+)
+def test_partition_tables_match_enumeration(bases, gcds, limits, order, interleaved):
+    """Multisets of gcd 1, 2 and 3 (the same base under several gcds shares a
+    table), limits in each order, the multisets one after another or
+    interleaved; every list matches the oracle, and scribbling on a returned
+    list changes no later result."""
+    multisets = [tuple(g * w for w in base) for base in bases for g in gcds]
+    if order == "ascending":
+        limits = sorted(limits)
+    elif order == "descending":
+        limits = sorted(limits, reverse=True)
+    elif order == "repeated":
+        limits = [x for x in limits for _ in range(2)]
+    if interleaved:
+        calls = [(ws, x) for x in limits for ws in multisets]
+    else:
+        calls = [(ws, x) for ws in multisets for x in limits]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charseries, "_TABLES", {})
+        for ws, limit in calls + calls:
+            g, counts = _partition_counts(ws, limit)
+            assert g == math.gcd(*ws)
+            expected = [brute_vector_partitions(ws, x) for x in range(limit + 1)]
+            assert not any(c for x, c in enumerate(expected) if x % g)
+            assert counts == expected[::g]
+            counts[:] = [-1] * (len(counts) + 1)
+
+
+def test_partition_table_is_lazy_but_consistent(partition_tables):
+    _, low = _partition_counts((1, 2), 4)
+    _, high = _partition_counts((1, 2), 40)
     assert high[:5] == low == [1, 1, 2, 2, 3]
     assert high[40] == partition_function((1, 2), 40) == 21
 

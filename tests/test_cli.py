@@ -291,6 +291,16 @@ EXIT_CASES = [
     (["analyze", "--algebra", "C2", "--embedding", "root:" + LONG_LIST], 2),
     (["iwasawa", "--a", LONG], 2),
     (["iwasawa", "--a", "1", "--c", LONG_LIST], 2),
+    # argparse's own messages: an invalid choice, an unknown command, an
+    # unknown option, an ambiguous one and an ignored explicit argument.
+    (["analyze", "--algebra", "C2", "--embedding", "principal", "--format", LONG], 2),
+    ([LONG], 2),
+    (["analyze", "--fixture", "sp4-principal", "--" + LONG], 2),
+    (["analyze", "--fixture", "sp4-principal", "--lambda-convention", LONG], 2),
+    (["analyze", "--fixture", "sp4-principal", "--format", " ".join(LONG)], 2),
+    (["analyze", "--fixture", "sp4-principal", "a", "--" + LONG, LONG], 2),
+    (["analyze", "--f=" + " ".join(LONG)], 2),
+    (["character", "--fixture", "sp4-principal", "--mu", "0", "--allow-virtual=" + LONG], 2),
 ]
 
 
@@ -447,6 +457,22 @@ def test_character_builds_one_partition_list(partition_limits, capsys):
     # A negative mu without --allow-virtual is refused before any list is built.
     assert main(argv[:-4] + ["--mu", "-3", "--cutoff", "16"]) == 2
     assert partition_limits == [13]
+
+
+def test_character_ladder_and_socle_grow_one_shared_table(partition_tables, capsys):
+    """C2 principal and sp4-principal have the n-weights (2, 2, 4, 6), so a
+    character ladder and a socle read one (1, 1, 2, 3) table, grown to the
+    deepest limit asked for, halved, and no further."""
+    ladder = ["character", "--algebra", "C2", "--embedding", "principal", "--mu", "3"]
+    for cutoff in (50, 100, 200, 400):
+        assert main(ladder + ["--cutoff", str(cutoff)]) == 0
+    assert partition_tables[0] == (400 - 3) // 2 + 1
+    socle = ["socle", "--fixture", "sp4-principal", "--kappa", "3/2,1/2", "--mu", "0"]
+    assert main(socle + ["--cutoff", "800"]) == 0
+    capsys.readouterr()
+    ((key, (counts, _)),) = charseries._TABLES.items()
+    assert key == (1, 1, 2, 3)
+    assert len(counts) == partition_tables[0] == 800 // 2 + 1
 
 
 @functools.cache
