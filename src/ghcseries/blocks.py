@@ -20,7 +20,6 @@ character and the matrix.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import add, itemgetter, mul
@@ -41,6 +40,7 @@ from .parabolic import (
     genericity_check,
     invariants,
 )
+from .record import Record
 from .rootsys import (
     RootSystem,
     Weight,
@@ -62,15 +62,16 @@ from .rootsys import (
 from .sl2embed import KCharacter, is_regular
 
 
-@dataclass(frozen=True)
-class CentralCharacter:
+class CentralCharacter(Record):
     """Weyl-orbit datum of kappa, canonicalized to its lex-maximal point."""
 
-    rs: RootSystem
-    representative: Weight
-    regular: bool
-    integral: bool
-    orbit_size: int
+    def __init__(self, rs: RootSystem, representative: Weight, regular: bool, integral: bool,
+                 orbit_size: int):
+        self._set("rs", rs)
+        self._set("representative", representative)
+        self._set("regular", regular)
+        self._set("integral", integral)
+        self._set("orbit_size", orbit_size)
 
 
 def central_character_from_kappa(kappa: Weight, rs: RootSystem) -> CentralCharacter:
@@ -109,16 +110,17 @@ def _check_kappa_length(kappa: Weight, rs: RootSystem) -> None:
         )
 
 
-@dataclass(frozen=True)
-class BlockElement:
+class BlockElement(Record):
     """One series parameter in a block."""
 
-    w: WeylElement
-    nu: Weight
-    omega: Fraction
-    mu: Fraction
-    dim_e: int
-    merged_count: int
+    def __init__(self, w: WeylElement, nu: Weight, omega: Fraction, mu: Fraction, dim_e: int,
+                 merged_count: int):
+        self._set("w", w)
+        self._set("nu", nu)
+        self._set("omega", omega)
+        self._set("mu", mu)
+        self._set("dim_e", dim_e)
+        self._set("merged_count", merged_count)
 
 
 def enumerate_block(
@@ -220,19 +222,21 @@ def integral_weyl_subgroup(
     return group
 
 
-@dataclass(frozen=True)
-class MultiplicityMatrix:
+class MultiplicityMatrix(Record):
     """Composition multiplicities m(E, D) over a block and their inverse.
 
     Rows and columns follow elements (ascending mu, then nu); orbit_ids
     mark the linkage classes inside the block.
     """
 
-    elements: tuple[BlockElement, ...]
-    m_matrix: tuple[tuple[int, ...], ...]
-    p_matrix: tuple[tuple[int, ...], ...]
-    orbit_ids: tuple[int, ...]
-    integral_group_order: int
+    def __init__(self, elements: tuple[BlockElement, ...], m_matrix: tuple[tuple[int, ...], ...],
+                 p_matrix: tuple[tuple[int, ...], ...], orbit_ids: tuple[int, ...],
+                 integral_group_order: int):
+        self._set("elements", elements)
+        self._set("m_matrix", m_matrix)
+        self._set("p_matrix", p_matrix)
+        self._set("orbit_ids", orbit_ids)
+        self._set("integral_group_order", integral_group_order)
 
 
 def _check_matrix_regime(p: CompatibleParabolic) -> None:
@@ -365,8 +369,7 @@ def _is_identity(m) -> bool:
     return all(m[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
 
 
-@dataclass(frozen=True)
-class SocleCharacterResult:
+class SocleCharacterResult(Record):
     """Inverse-matrix character combination for one block element.
 
     The character equals the k-character of the derived-functor image of
@@ -374,9 +377,10 @@ class SocleCharacterResult:
     module exactly when genuine_socle is set.
     """
 
-    element: BlockElement
-    character: KCharacter
-    genuine_socle: bool
+    def __init__(self, element: BlockElement, character: KCharacter, genuine_socle: bool):
+        self._set("element", element)
+        self._set("character", character)
+        self._set("genuine_socle", genuine_socle)
 
 
 def socle_k_character(
@@ -415,16 +419,17 @@ def _module_datum(d: BlockElement) -> ModuleDatumE:
     return ModuleDatumE(omega=int(d.omega), dim_e=d.dim_e)
 
 
-@dataclass(frozen=True)
-class ReconstructibilityReport:
+class ReconstructibilityReport(Record):
     """Which reconstruction regimes a given mu clears."""
 
-    mu: int
-    convention: str
-    socle_simple: bool
-    strong: bool
-    generic: bool
-    regular_embedding: bool
+    def __init__(self, mu: int, convention: str, socle_simple: bool, strong: bool, generic: bool,
+                 regular_embedding: bool):
+        self._set("mu", mu)
+        self._set("convention", convention)
+        self._set("socle_simple", socle_simple)
+        self._set("strong", strong)
+        self._set("generic", generic)
+        self._set("regular_embedding", regular_embedding)
 
 
 def reconstructibility_report(
@@ -449,14 +454,14 @@ def reconstructibility_report(
 MAX_IWASAWA_A = 100_000
 
 
-@dataclass(frozen=True)
-class IwasawaSupport:
+class IwasawaSupport(Record):
     """b-parameters meeting a type-(a, c) principal-series family."""
 
-    a: int
-    c: Fraction
-    b_values: tuple[Fraction, ...]
-    k_multiplicity: int
+    def __init__(self, a: int, c: Fraction, b_values: tuple[Fraction, ...], k_multiplicity: int):
+        self._set("a", a)
+        self._set("c", c)
+        self._set("b_values", b_values)
+        self._set("k_multiplicity", k_multiplicity)
 
 
 def iwasawa_sl3_support(a: int, c) -> IwasawaSupport:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import (
     InternalInconsistency,
@@ -31,19 +30,18 @@ from .errors import (
     WindowTooNarrow,
 )
 from .parabolic import CompatibleParabolic
+from .record import Record
 from .sl2embed import KCharacter, TruncatedTCharacter
 
 
-@dataclass(frozen=True)
-class ModuleDatumE:
+class ModuleDatumE(Record):
     """Simple finite-dimensional p-module datum; t acts via omega."""
 
-    omega: int
-    dim_e: int = 1
-
-    def __post_init__(self):
-        if self.dim_e < 1:
+    def __init__(self, omega: int, dim_e: int = 1):
+        if dim_e < 1:
             raise InvalidInput("dim E must be a positive integer")
+        self._set("omega", omega)
+        self._set("dim_e", dim_e)
 
 
 # Ceiling on partition lists and cutoffs.  The heaviest rank-4 character

@@ -8,11 +8,11 @@ fixture build their pairs from these strings through the same parsers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInput, UnsupportedRegime, _excerpt
 from .parabolic import CompatibleParabolic, minimal_parabolic
+from .record import Record
 from .rootsys import RootSystem, Weight, build_root_system
 from .sl2embed import Sl2Embedding, from_defining_vector, from_principal, from_root
 
@@ -70,14 +70,14 @@ def parse_embedding(text: str, rs: RootSystem) -> Sl2Embedding:
     )
 
 
-@dataclass(frozen=True)
-class FixturePair:
+class FixturePair(Record):
     """A named pair, given by its --algebra and --embedding strings."""
 
-    name: str
-    algebra: str
-    embedding: str
-    summary: str
+    def __init__(self, name: str, algebra: str, embedding: str, summary: str):
+        self._set("name", name)
+        self._set("algebra", algebra)
+        self._set("embedding", embedding)
+        self._set("summary", summary)
 
     def build_parabolic(self) -> CompatibleParabolic:
         rs = build_root_system(parse_algebra(self.algebra))

@@ -11,28 +11,31 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import add
-from typing import Sequence
 
 from .errors import InternalInconsistency, InvalidInput, _excerpt
+from .record import Record
 from .rootsys import RootSystem, Weight, _half_sum, _int_coords, inner_product, lex_positive
 from .sl2embed import Sl2Embedding
 
 
-@dataclass(frozen=True)
-class CompatibleParabolic:
+class CompatibleParabolic(Record):
     """p = m + n attached to the grading by the defining vector."""
 
-    embedding: Sl2Embedding
-    n_roots: tuple[Weight, ...]
-    m_roots: tuple[Weight, ...]
-    n_weights: tuple[int, ...]
-    m_positive_roots: tuple[Weight, ...]
-    adapted_positive_roots: tuple[Weight, ...]
-    rho_tilde_n: Weight
-    rho_tilde_adapted: Weight
+    def __init__(self, embedding: Sl2Embedding, n_roots: tuple[Weight, ...],
+                 m_roots: tuple[Weight, ...], n_weights: tuple[int, ...],
+                 m_positive_roots: tuple[Weight, ...], adapted_positive_roots: tuple[Weight, ...],
+                 rho_tilde_n: Weight, rho_tilde_adapted: Weight):
+        self._set("embedding", embedding)
+        self._set("n_roots", n_roots)
+        self._set("m_roots", m_roots)
+        self._set("n_weights", n_weights)
+        self._set("m_positive_roots", m_positive_roots)
+        self._set("adapted_positive_roots", adapted_positive_roots)
+        self._set("rho_tilde_n", rho_tilde_n)
+        self._set("rho_tilde_adapted", rho_tilde_adapted)
 
     @property
     def s(self) -> int:
@@ -100,20 +103,22 @@ def _by_convention(convention: str, n_value, perp_value):
     raise InvalidInput(f"unknown lambda convention {_excerpt(convention)}")
 
 
-@dataclass(frozen=True)
-class ParabolicInvariants:
+class ParabolicInvariants(Record):
     """Scalar invariants of p; lambda pairs carried in both conventions."""
 
-    rho_n: Fraction
-    rho: int
-    two_rho_n_perp: int
-    lambda1_n: int
-    lambda2_n: int
-    lambda1_perp: int
-    lambda2_perp: int
-    lambda2_n_defaulted: bool
-    lambda1_perp_defaulted: bool
-    lambda2_perp_defaulted: bool
+    def __init__(self, rho_n: Fraction, rho: int, two_rho_n_perp: int, lambda1_n: int,
+                 lambda2_n: int, lambda1_perp: int, lambda2_perp: int, lambda2_n_defaulted: bool,
+                 lambda1_perp_defaulted: bool, lambda2_perp_defaulted: bool):
+        self._set("rho_n", rho_n)
+        self._set("rho", rho)
+        self._set("two_rho_n_perp", two_rho_n_perp)
+        self._set("lambda1_n", lambda1_n)
+        self._set("lambda2_n", lambda2_n)
+        self._set("lambda1_perp", lambda1_perp)
+        self._set("lambda2_perp", lambda2_perp)
+        self._set("lambda2_n_defaulted", lambda2_n_defaulted)
+        self._set("lambda1_perp_defaulted", lambda1_perp_defaulted)
+        self._set("lambda2_perp_defaulted", lambda2_perp_defaulted)
 
     def lambdas(self, convention: str = "n") -> tuple[int, int]:
         n = (self.lambda1_n, self.lambda2_n)
@@ -156,13 +161,14 @@ def invariants(p: CompatibleParabolic) -> ParabolicInvariants:
     )
 
 
-@dataclass(frozen=True)
-class GenericityResult:
-    mu: int
-    generic: bool
-    witness: tuple[int, ...] | None
-    closed_form_threshold: Fraction
-    rho_n_integral: bool
+class GenericityResult(Record):
+    def __init__(self, mu: int, generic: bool, witness: tuple[int, ...] | None,
+                 closed_form_threshold: Fraction, rho_n_integral: bool):
+        self._set("mu", mu)
+        self._set("generic", generic)
+        self._set("witness", witness)
+        self._set("closed_form_threshold", closed_form_threshold)
+        self._set("rho_n_integral", rho_n_integral)
 
 
 def genericity_scan(n_weights: Sequence[int], mu: int) -> tuple[bool, tuple[int, ...] | None]:
@@ -216,12 +222,12 @@ def genericity_check(p: CompatibleParabolic, mu: int) -> GenericityResult:
     )
 
 
-@dataclass(frozen=True)
-class Threshold:
+class Threshold(Record):
     """Exact bound together with the least integer mu satisfying it."""
 
-    exact: Fraction
-    smallest_mu: int
+    def __init__(self, exact: Fraction, smallest_mu: int):
+        self._set("exact", exact)
+        self._set("smallest_mu", smallest_mu)
 
 
 def _threshold(value) -> Threshold:
@@ -229,16 +235,19 @@ def _threshold(value) -> Threshold:
     return Threshold(exact=exact, smallest_mu=math.ceil(exact))
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    weak: Threshold
-    socle_simplicity_n: Threshold
-    strong_n: Threshold
-    socle_simplicity_perp: Threshold
-    strong_perp: Threshold
-    genericity: Threshold
-    prior_work: Threshold | None
-    prior_work_coefficients: tuple[Fraction, ...] | None
+class BoundsReport(Record):
+    def __init__(self, weak: Threshold, socle_simplicity_n: Threshold, strong_n: Threshold,
+                 socle_simplicity_perp: Threshold, strong_perp: Threshold, genericity: Threshold,
+                 prior_work: Threshold | None,
+                 prior_work_coefficients: tuple[Fraction, ...] | None):
+        self._set("weak", weak)
+        self._set("socle_simplicity_n", socle_simplicity_n)
+        self._set("strong_n", strong_n)
+        self._set("socle_simplicity_perp", socle_simplicity_perp)
+        self._set("strong_perp", strong_perp)
+        self._set("genericity", genericity)
+        self._set("prior_work", prior_work)
+        self._set("prior_work_coefficients", prior_work_coefficients)
 
     def socle_simplicity(self, convention: str = "n") -> Threshold:
         return _by_convention(convention, self.socle_simplicity_n, self.socle_simplicity_perp)

@@ -23,11 +23,10 @@ group's orbits with those, and the other modules only call them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import factorial, lcm
 from operator import attrgetter, mul
-from typing import Iterable, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -36,6 +35,7 @@ from .errors import (
     InvalidInput,
     UnsupportedAlgebra,
 )
+from .record import Record
 
 MAX_TOTAL_RANK = 4
 
@@ -48,11 +48,11 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Record):
     """Exact rational coordinate vector in the epsilon-basis."""
 
-    coords: tuple[Fraction, ...]
+    def __init__(self, coords: tuple[Fraction, ...]):
+        self._set("coords", coords)
 
     @staticmethod
     def of(*values) -> "Weight":
@@ -147,17 +147,20 @@ def _factor_roots(family: str, dim: int, offset: int, ambient: int):
     ]
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Record):
     """Root data of a semisimple algebra in a fixed exact realization."""
 
-    type_label: tuple[tuple[str, int], ...]
-    ambient: int
-    roots: tuple[Weight, ...]
-    positive_roots: tuple[Weight, ...]
-    simple_roots: tuple[Weight, ...]
-    rho_tilde: Weight
-    factor_slices: tuple[tuple[int, int], ...]
+    def __init__(self, type_label: tuple[tuple[str, int], ...], ambient: int,
+                 roots: tuple[Weight, ...], positive_roots: tuple[Weight, ...],
+                 simple_roots: tuple[Weight, ...], rho_tilde: Weight,
+                 factor_slices: tuple[tuple[int, int], ...]):
+        self._set("type_label", type_label)
+        self._set("ambient", ambient)
+        self._set("roots", roots)
+        self._set("positive_roots", positive_roots)
+        self._set("simple_roots", simple_roots)
+        self._set("rho_tilde", rho_tilde)
+        self._set("factor_slices", factor_slices)
 
     @property
     def rank(self) -> int:
@@ -233,12 +236,12 @@ def build_root_system(spec: Iterable[tuple[str, int]]) -> RootSystem:
     )
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(Record):
     """Orthogonal matrix acting on epsilon-coordinates, with a length."""
 
-    matrix: tuple[tuple[Fraction, ...], ...]
-    length: int
+    def __init__(self, matrix: tuple[tuple[Fraction, ...], ...], length: int):
+        self._set("matrix", matrix)
+        self._set("length", length)
 
     def apply(self, w: Weight) -> Weight:
         if len(w.coords) != len(self.matrix):
@@ -279,8 +282,7 @@ def _mat_mul(a, b):
     )
 
 
-@dataclass(frozen=True, eq=False)
-class WeylGroup:
+class WeylGroup(Record):
     """A reflection group numbered once, with its Bruhat table.
 
     elements are sorted by (length, matrix); index maps each matrix to its
@@ -291,11 +293,17 @@ class WeylGroup:
     compared by identity.
     """
 
-    simple_roots: tuple[Weight, ...]
-    elements: tuple[WeylElement, ...]
-    index: dict
-    left: tuple[tuple[int, ...], ...]
-    parents: tuple[tuple[int, int] | None, ...]
+    def __init__(self, simple_roots: tuple[Weight, ...], elements: tuple[WeylElement, ...],
+                 index: dict, left: tuple[tuple[int, ...], ...],
+                 parents: tuple[tuple[int, int] | None, ...]):
+        self._set("simple_roots", simple_roots)
+        self._set("elements", elements)
+        self._set("index", index)
+        self._set("left", left)
+        self._set("parents", parents)
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __iter__(self):
         return iter(self.elements)

@@ -11,7 +11,6 @@ as their subclass) live here too, below every module that builds them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
 
@@ -25,19 +24,21 @@ from .errors import (
     WindowTooNarrow,
     _excerpt,
 )
+from .record import Record
 from .report import rational
 from .rootsys import RootSystem, Weight, _int_root, _scale, _scaled, _unscaled, inner_product
 
 
-@dataclass(frozen=True)
-class Sl2Embedding:
+class Sl2Embedding(Record):
     """An sl(2) in g by its defining vector h; grading[i] is rs.roots[i](h)."""
 
-    rs: RootSystem
-    h_vector: Weight
-    kind: str  # "principal" | "root" | "vector"
-    grading: tuple[int, ...]
-    decomposition: Sl2Decomposition  # of t_character_of_g, peeled on validation
+    def __init__(self, rs: RootSystem, h_vector: Weight, kind: str, grading: tuple[int, ...],
+                 decomposition: Sl2Decomposition):
+        self._set("rs", rs)
+        self._set("h_vector", h_vector)
+        self._set("kind", kind)  # "principal" | "root" | "vector"
+        self._set("grading", grading)
+        self._set("decomposition", decomposition)  # of t_character_of_g, peeled on validation
 
 
 class TruncatedTCharacter:
@@ -132,11 +133,11 @@ class KCharacter(TruncatedTCharacter):
         return all(c == 1 for c in self.mults.values())
 
 
-@dataclass(frozen=True)
-class Sl2Decomposition:
+class Sl2Decomposition(Record):
     """counts[m] = number of irreducible summands of highest weight m."""
 
-    counts: tuple[tuple[int, int], ...]
+    def __init__(self, counts: tuple[tuple[int, int], ...]):
+        self._set("counts", counts)
 
     def dimension(self) -> int:
         return sum(c * (m + 1) for m, c in self.counts)
@@ -174,7 +175,7 @@ def _validated(rs: RootSystem, h_vec: Weight, kind: str) -> Sl2Embedding:
     if ch.mult(2) < 1:
         raise NoSl2Triple("the weight-2 space of the grading is zero")
     # sl2_decomposition raises NotIntegrable on negative peeling.
-    return replace(e, decomposition=sl2_decomposition(ch))
+    return Sl2Embedding(rs, h_vec, kind, e.grading, sl2_decomposition(ch))
 
 
 def from_principal(rs: RootSystem) -> Sl2Embedding:

@@ -74,3 +74,17 @@ def partition_tables(monkeypatch):
     monkeypatch.setattr(charseries, "_TABLES", {})
     monkeypatch.setattr(charseries, "_grown", counted)
     return count
+
+
+@pytest.fixture
+def partition_limits(monkeypatch):
+    """The limit of every charseries._partition_counts call, in order."""
+    limits = []
+    counts = charseries._partition_counts
+
+    def counted(weights, limit):
+        limits.append(limit)
+        return counts(weights, limit)
+
+    monkeypatch.setattr(charseries, "_partition_counts", counted)
+    return limits

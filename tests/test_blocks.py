@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import functools
 import random
 from fractions import Fraction
@@ -8,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from ghcseries import (
+    BlockElement,
     InternalInconsistency,
     InvalidInput,
+    MultiplicityMatrix,
     OutOfRegime,
     SingularBlockUnsupported,
     UnsupportedLevi,
@@ -34,7 +35,7 @@ from ghcseries import (
     weyl_group,
 )
 from ghcseries import rootsys
-from ghcseries import blocks, charseries
+from ghcseries import blocks
 from ghcseries.blocks import MAX_IWASAWA_A
 from ghcseries.charseries import MAX_CUTOFF, ModuleDatumE
 from ghcseries.fixtures import parse_algebra
@@ -584,20 +585,6 @@ def test_socle_rows_resum_to_the_series_character():
             assert socles[i].mult(delta) <= f1.mult(delta)
 
 
-@pytest.fixture
-def partition_limits(monkeypatch):
-    """The limit of every charseries._partition_counts call, in order."""
-    limits = []
-    counts = charseries._partition_counts
-
-    def counted(weights, limit):
-        limits.append(limit)
-        return counts(weights, limit)
-
-    monkeypatch.setattr(charseries, "_partition_counts", counted)
-    return limits
-
-
 # At cutoff 5 the terms at mu 8 and 10 read nothing from the shared list.
 @pytest.mark.parametrize("cutoff", [40, 5])
 def test_socle_builds_one_partition_list_per_call(cutoff, partition_limits):
@@ -643,10 +630,14 @@ def test_socle_refuses_a_term_in_row_order_before_any_list(omegas, cutoff, error
     p, kappa = _sp4_block()
     matrix = multiplicity_matrix(kappa, p)
     elements = tuple(
-        dataclasses.replace(e, omega=omegas.get(j, e.omega)) for j, e in enumerate(matrix.elements)
+        BlockElement(e.w, e.nu, omegas.get(j, e.omega), e.mu, e.dim_e, e.merged_count)
+        for j, e in enumerate(matrix.elements)
+    )
+    edited = MultiplicityMatrix(
+        elements, matrix.m_matrix, matrix.p_matrix, matrix.orbit_ids, matrix.integral_group_order
     )
     with pytest.raises(error):
-        socle_k_character(p, dataclasses.replace(matrix, elements=elements), elements[0], cutoff)
+        socle_k_character(p, edited, elements[0], cutoff)
     assert partition_limits == []
 
 

@@ -411,41 +411,19 @@ def test_negative_mu_with_virtual_flag(capsys):
     assert doc["t_character_N"]["min_weight"] == -1
 
 
-def test_virtual_character_builds_one_partition_list(capsys, monkeypatch):
-    limits = []
-    counts = charseries._partition_counts
-
-    def counted(weights, limit):
-        limits.append(limit)
-        return counts(weights, limit)
-
-    monkeypatch.setattr(charseries, "_partition_counts", counted)
+def test_virtual_character_builds_one_partition_list(capsys, partition_limits):
     args = [
         "character", "--fixture", "sp4-principal",
         "--mu", "-3", "--allow-virtual", "--cutoff", "10",
     ]
     assert main(args) == 0
-    assert limits == [13]
+    assert partition_limits == [13]
     doc = json.loads(capsys.readouterr().out)
     p = get_fixture("sp4-principal").build_parabolic()
     datum = ModuleDatumE(omega=-3 - p.two_rho_n_perp)
     assert doc["t_character_N"]["mults"] == character_pairs(
         t_character_N(p, datum, 10).mults
     )
-
-
-@pytest.fixture
-def partition_limits(monkeypatch):
-    """The limit of every charseries._partition_counts call, in order."""
-    limits = []
-    counts = charseries._partition_counts
-
-    def counted(weights, limit):
-        limits.append(limit)
-        return counts(weights, limit)
-
-    monkeypatch.setattr(charseries, "_partition_counts", counted)
-    return limits
 
 
 def test_character_builds_one_partition_list(partition_limits, capsys):

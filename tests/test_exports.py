@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import ast
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -81,18 +83,38 @@ def test_only_rootsys_knows_the_trace_zero_realization_and_no_module_solves_syst
     assert _modules_where(_names_lcm) == {"rootsys"}
 
 
-def _third_party_import(node) -> bool:
+def _absolute_imports(node) -> set[str]:
+    """The top-level packages an import node takes from outside the library."""
     if isinstance(node, ast.ImportFrom):
         names = [] if node.level else [node.module]
     elif isinstance(node, ast.Import):
         names = [a.name for a in node.names]
     else:
-        return False
-    return any(name.split(".")[0] not in sys.stdlib_module_names for name in names)
+        return set()
+    return {name.split(".")[0] for name in names}
 
 
 def test_the_library_imports_only_itself_and_the_standard_library():
-    assert _modules_where(_third_party_import) == set()
+    assert _modules_where(lambda node: _absolute_imports(node) - sys.stdlib_module_names) == set()
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    assert _modules_where(lambda node: _absolute_imports(node) & {"dataclasses", "typing"}) == set()
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect_nor_typing():
+    """Checked under python -S, since site may load typing itself."""
+    src = Path(ghcseries.__file__).parent.parent
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, ghcseries.cli; print(*sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert "ghcseries.cli" in loaded
+    assert {"dataclasses", "inspect", "typing"}.isdisjoint(loaded)
 
 
 def test_cli_makes_one_private_call_into_blocks_and_charseries():

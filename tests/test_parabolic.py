@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 from ghcseries import (
     InternalInconsistency,
     InvalidInput,
+    RootSystem,
     Weight,
     b_dominant,
     bounds_report,
@@ -193,7 +193,10 @@ def test_prior_work_coefficients_match_the_elimination_oracle(spec):
 
 def test_the_walk_up_the_positive_roots_refuses_a_root_it_misses():
     rs = build_root_system((("C", 2),))
-    stray = replace(rs, positive_roots=rs.positive_roots + (Weight.of(5, 7),))
+    stray = RootSystem(
+        rs.type_label, rs.ambient, rs.roots, rs.positive_roots + (Weight.of(5, 7),),
+        rs.simple_roots, rs.rho_tilde, rs.factor_slices,
+    )
     with pytest.raises(InternalInconsistency, match="missed a positive root"):
         parabolic._simple_root_sum(stray)
 
