@@ -67,11 +67,7 @@ class CentralCharacter(Record):
 
     def __init__(self, rs: RootSystem, representative: Weight, regular: bool, integral: bool,
                  orbit_size: int):
-        self._set("rs", rs)
-        self._set("representative", representative)
-        self._set("regular", regular)
-        self._set("integral", integral)
-        self._set("orbit_size", orbit_size)
+        self._init(locals())
 
 
 def central_character_from_kappa(kappa: Weight, rs: RootSystem) -> CentralCharacter:
@@ -115,12 +111,7 @@ class BlockElement(Record):
 
     def __init__(self, w: WeylElement, nu: Weight, omega: Fraction, mu: Fraction, dim_e: int,
                  merged_count: int):
-        self._set("w", w)
-        self._set("nu", nu)
-        self._set("omega", omega)
-        self._set("mu", mu)
-        self._set("dim_e", dim_e)
-        self._set("merged_count", merged_count)
+        self._init(locals())
 
 
 def enumerate_block(
@@ -232,11 +223,7 @@ class MultiplicityMatrix(Record):
     def __init__(self, elements: tuple[BlockElement, ...], m_matrix: tuple[tuple[int, ...], ...],
                  p_matrix: tuple[tuple[int, ...], ...], orbit_ids: tuple[int, ...],
                  integral_group_order: int):
-        self._set("elements", elements)
-        self._set("m_matrix", m_matrix)
-        self._set("p_matrix", p_matrix)
-        self._set("orbit_ids", orbit_ids)
-        self._set("integral_group_order", integral_group_order)
+        self._init(locals())
 
 
 def _check_matrix_regime(p: CompatibleParabolic) -> None:
@@ -378,9 +365,7 @@ class SocleCharacterResult(Record):
     """
 
     def __init__(self, element: BlockElement, character: KCharacter, genuine_socle: bool):
-        self._set("element", element)
-        self._set("character", character)
-        self._set("genuine_socle", genuine_socle)
+        self._init(locals())
 
 
 def socle_k_character(
@@ -424,12 +409,7 @@ class ReconstructibilityReport(Record):
 
     def __init__(self, mu: int, convention: str, socle_simple: bool, strong: bool, generic: bool,
                  regular_embedding: bool):
-        self._set("mu", mu)
-        self._set("convention", convention)
-        self._set("socle_simple", socle_simple)
-        self._set("strong", strong)
-        self._set("generic", generic)
-        self._set("regular_embedding", regular_embedding)
+        self._init(locals())
 
 
 def reconstructibility_report(
@@ -458,10 +438,7 @@ class IwasawaSupport(Record):
     """b-parameters meeting a type-(a, c) principal-series family."""
 
     def __init__(self, a: int, c: Fraction, b_values: tuple[Fraction, ...], k_multiplicity: int):
-        self._set("a", a)
-        self._set("c", c)
-        self._set("b_values", b_values)
-        self._set("k_multiplicity", k_multiplicity)
+        self._init(locals())
 
 
 def iwasawa_sl3_support(a: int, c) -> IwasawaSupport:

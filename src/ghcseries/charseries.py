@@ -40,8 +40,7 @@ class ModuleDatumE(Record):
     def __init__(self, omega: int, dim_e: int = 1):
         if dim_e < 1:
             raise InvalidInput("dim E must be a positive integer")
-        self._set("omega", omega)
-        self._set("dim_e", dim_e)
+        self._init(locals())
 
 
 # Ceiling on partition lists and cutoffs.  The heaviest rank-4 character
@@ -199,9 +198,7 @@ def f1_k_character(
     character is minus this one; the multiplicity of V(delta) is dim E
     times the first difference of the partition table at delta - mu.
     """
-    mu = _f1_mu(p, E, cutoff)
-    g, counts = _partition_counts(p.n_weights, cutoff - mu)
-    return KCharacter(dict(_f1_rows(mu, E.dim_e, g, counts)), cutoff=cutoff, virtual=False)
+    return KCharacter(_f1_combination(p, [(1, E)], cutoff), cutoff=cutoff, virtual=False)
 
 
 def _f1_mu(p: CompatibleParabolic, E: ModuleDatumE, cutoff: int) -> int:

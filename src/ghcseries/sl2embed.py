@@ -30,15 +30,13 @@ from .rootsys import RootSystem, Weight, _int_root, _scale, _scaled, _unscaled, 
 
 
 class Sl2Embedding(Record):
-    """An sl(2) in g by its defining vector h; grading[i] is rs.roots[i](h)."""
+    """An sl(2) in g by its defining vector h; grading[i] is rs.roots[i](h),
+    kind is "principal", "root" or "vector", and decomposition, that of
+    t_character_of_g, is peeled on validation."""
 
     def __init__(self, rs: RootSystem, h_vector: Weight, kind: str, grading: tuple[int, ...],
                  decomposition: Sl2Decomposition):
-        self._set("rs", rs)
-        self._set("h_vector", h_vector)
-        self._set("kind", kind)  # "principal" | "root" | "vector"
-        self._set("grading", grading)
-        self._set("decomposition", decomposition)  # of t_character_of_g, peeled on validation
+        self._init(locals())
 
 
 class TruncatedTCharacter:
@@ -137,7 +135,7 @@ class Sl2Decomposition(Record):
     """counts[m] = number of irreducible summands of highest weight m."""
 
     def __init__(self, counts: tuple[tuple[int, int], ...]):
-        self._set("counts", counts)
+        self._init(locals())
 
     def dimension(self) -> int:
         return sum(c * (m + 1) for m, c in self.counts)

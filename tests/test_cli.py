@@ -394,6 +394,21 @@ def test_negative_values_may_follow_their_option(capsys):
     assert json.loads(capsys.readouterr().out)["c"] == "-1/3"
 
 
+@pytest.mark.parametrize(
+    "command, prefix",
+    [(["block"], "--kap"), (["socle", "--mu", "0"], "--ka")],
+    ids=["block", "socle"],
+)
+def test_a_negative_kappa_may_follow_a_prefix_of_its_option(command, prefix, capsys):
+    """argparse takes any unambiguous prefix of --kappa, so a value attaches
+    after one too."""
+    pair = ["--fixture", "sp4-principal"]
+    assert main(command + pair + ["--kappa=-3/2,1/2"]) == 0
+    attached = capsys.readouterr()
+    assert main(command + pair + [prefix, "-3/2,1/2"]) == 0
+    assert capsys.readouterr() == attached
+
+
 def test_argparse_rejects_unknown_commands():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

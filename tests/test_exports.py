@@ -11,6 +11,7 @@ import pytest
 
 import ghcseries
 from ghcseries import cli, report
+from ghcseries.record import Record
 
 
 def test_every_exported_name_resolves_once():
@@ -145,3 +146,50 @@ def test_cli_makes_one_private_call_into_blocks_and_charseries():
     ]
     # perfbench builds its pairs through these two.
     assert cli.parse_algebra and cli.parse_embedding
+
+
+def _names_object_setattr(node) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    )
+
+
+def _names_set(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "_set") or (
+        isinstance(node, ast.Name) and node.id == "_set"
+    )
+
+
+def _binds_a_name(node) -> bool:
+    return (
+        (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store))
+        or isinstance(node, (ast.alias, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        or (isinstance(node, ast.ExceptHandler) and node.name is not None)
+    )
+
+
+def _record_inits(src=Path(ghcseries.__file__).parent) -> dict:
+    """{class name: its __init__ node} for every class with Record among its bases."""
+    inits = {}
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and "Record" in [ast.unparse(b) for b in node.bases]:
+                (inits[node.name],) = [f for f in node.body if getattr(f, "name", "") == "__init__"]
+    return inits
+
+
+def test_records_name_their_fields_once_in_the_init_signature():
+    """Fields are set only by Record._init, from the __init__ arguments: each
+    record's __init__ ends in self._init(locals()) and binds no other local,
+    so locals() holds exactly the fields."""
+    assert _modules_where(_names_object_setattr) == {"record"}
+    assert _modules_where(_names_set) == set()
+    inits = _record_inits()
+    assert set(inits) == {cls.__name__ for cls in Record.__subclasses__()}
+    for name, init in inits.items():
+        *before, last = init.body
+        assert ast.unparse(last) == "self._init(locals())", name
+        assert not any(_binds_a_name(node) for stmt in before for node in ast.walk(stmt)), name

@@ -159,3 +159,27 @@ def test_module_datum_default_and_refusal_match_the_twin():
     for dim_e in (0, -2):
         ours, theirs = _outcome(ModuleDatumE, 5, dim_e), _outcome(twin, 5, dim_e)
         assert ours == theirs == ("InvalidInput", "dim E must be a positive integer")
+
+
+@pytest.mark.parametrize("x", SAMPLES, ids=lambda x: type(x).__name__)
+def test_instance_dict_holds_the_fields_in_order(x):
+    """__eq__ compares the instance dicts and __hash__ hashes their values,
+    so each must hold exactly the fields, in signature order."""
+    assert list(vars(x)) == FIELDS[type(x).__name__].split()
+
+
+@pytest.mark.parametrize("x", SAMPLES, ids=lambda x: type(x).__name__)
+def test_construction_argument_errors_match_the_twin(x):
+    cls, twin = type(x), _twin(type(x))
+    names = FIELDS[cls.__name__].split()
+    values = [getattr(x, name) for name in names]
+    for args, kwargs in [
+        ((), {}),
+        ((), dict(zip(names[1:], values[1:]))),  # the first field missing
+        ((*values, 0), {}),
+        (values, {"unlisted": 0}),
+        (values, {names[0]: values[0]}),  # the first field given twice
+    ]:
+        ours = _outcome(lambda: cls(*args, **kwargs))
+        theirs = _outcome(lambda: twin(*args, **kwargs))
+        assert ours[0] == "TypeError" and ours == theirs
