@@ -257,43 +257,31 @@ def multiplicity_matrix(
     elements, points, scale = _block_points(kappa, p)
     keys = [tuple([-a for a in x]) for x in points]
 
-    # One dict per linkage class: each point of the class -> the position of
-    # the element of the class's integral group that places the antidominant
-    # point there.
-    classes: list[tuple[WeylGroup, dict[tuple, int]]] = []
-    orbit_ids = []
-    placements = []
+    # Each point of each linkage class -> (class id, position of the element of
+    # the class's integral group that places the class's antidominant point
+    # there); a class is placed when the first of its keys is seen.
+    where: dict[tuple, tuple[int, int]] = {}
+    groups: list[WeylGroup] = []
     for key in keys:
-        cid = next((c for c, (_, placed) in enumerate(classes) if key in placed), None)
-        if cid is None:
+        if key not in where:
             group = integral_weyl_subgroup(_unscaled(key, scale), rs, p.adapted_positive_roots)
-            placed = {x: i for i, x in enumerate(_orbit(group, _antidominant(group, key)))}
-            if len(placed) != len(group):
+            orbit = _orbit(group, _antidominant(group, key))
+            distinct = len(set(orbit))
+            if distinct != len(group):
                 raise InternalInconsistency(
                     "expected a unique placement in the integral group, got "
-                    f"{len(group) // len(placed)}"
+                    f"{len(group) // distinct}"
                 )
-            cid = len(classes)
-            classes.append((group, placed))
-        orbit_ids.append(cid)
-        placements.append(classes[cid][1][key])
+            where.update((x, (len(groups), i)) for i, x in enumerate(orbit))
+            groups.append(group)
+    placed = [where[key] for key in keys]
+
+    m_rows = [
+        [1 if c == d and bruhat_leq_over(y, x, groups[c]) else 0 for d, y in placed]
+        for c, x in placed
+    ]
 
     n = len(elements)
-    m_rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            same = orbit_ids[i] == orbit_ids[j]
-            row.append(
-                1
-                if same
-                and bruhat_leq_over(
-                    placements[j], placements[i], classes[orbit_ids[i]][0]
-                )
-                else 0
-            )
-        m_rows.append(row)
-
     for i in range(n):
         if m_rows[i][i] != 1:
             raise InternalInconsistency("diagonal multiplicity is not 1")
@@ -316,8 +304,8 @@ def multiplicity_matrix(
         elements=elements,
         m_matrix=tuple(tuple(row) for row in m_rows),
         p_matrix=tuple(tuple(row) for row in p_rows),
-        orbit_ids=tuple(orbit_ids),
-        integral_group_order=len(classes[0][0]) if classes else 1,
+        orbit_ids=tuple(cid for cid, _ in placed),
+        integral_group_order=len(groups[0]) if groups else 1,
     )
 
 

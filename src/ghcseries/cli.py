@@ -4,9 +4,11 @@ Exit codes: 0 success, 2 invalid input, 3 declared-unsupported regime,
 4 internal inconsistency.  Output goes to stdout as JSON (default) or
 an aligned table; identical inputs produce byte-identical output.
 
-Each command parses its options, makes one library call and renders the
-result: charseries._character_mults for character, blocks._block_query for
-block and socle.  Each (g, sl(2)) pair is built once per process: the first
+build_parser is the one table of commands: each subparser takes only the
+options its handler reads and carries that handler as args.run.  Each
+command makes one library call and renders the result:
+charseries._character_mults for character, blocks._block_query for block
+and socle.  Each (g, sl(2)) pair is built once per process: the first
 call that names it builds its root system, embedding and minimal parabolic,
 and every later call, whichever spelling it uses, shares them.  A message
 about input text quotes it through errors._excerpt.
@@ -76,53 +78,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_command(name, run, help):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
+        sp.add_argument("--format", choices=("json", "table"), default="json")
+        return sp
+
     def add_pair_options(sp):
         sp.add_argument("--fixture", help="name of a built-in example pair")
         sp.add_argument("--algebra", help="e.g. C2, A2, A1+A1")
-        sp.add_argument(
-            "--embedding", help="principal, root:COORDS, or vector:COORDS"
-        )
-        sp.add_argument(
-            "--lambda-convention",
-            choices=("n", "perp"),
-            default="n",
-            dest="lambda_convention",
-            help="read the lambda pair off n (default) or off n minus the e-line",
-        )
+        sp.add_argument("--embedding", help="principal, root:COORDS, or vector:COORDS")
 
-    def add_output_options(sp):
-        sp.add_argument("--cutoff", type=_integer, default=None)
-        sp.add_argument("--format", choices=("json", "table"), default="json")
-
-    sp = sub.add_parser("analyze", help="invariants, bounds and regularity")
+    sp = add_command("analyze", cmd_analyze, "invariants, bounds and regularity")
     add_pair_options(sp)
-    add_output_options(sp)
+    sp.add_argument(
+        "--lambda-convention",
+        choices=("n", "perp"),
+        default="n",
+        help="read the lambda pair off n (default) or off n minus the e-line",
+    )
 
-    sp = sub.add_parser("character", help="t-character of N and k-character of F1")
+    sp = add_command("character", cmd_character, "t-character of N and k-character of F1")
     add_pair_options(sp)
-    add_output_options(sp)
+    sp.add_argument("--cutoff", type=_integer)
     sp.add_argument("--mu", type=_integer, required=True)
-    sp.add_argument("--dim-e", type=_integer, default=1, dest="dim_e")
+    sp.add_argument("--dim-e", type=_integer, default=1)
     sp.add_argument(
         "--allow-virtual",
         action="store_true",
-        dest="allow_virtual",
         help="permit mu < 0 and report the negated Euler character instead",
     )
 
-    sp = sub.add_parser("block", help="central-character block and matrices")
+    sp = add_command("block", cmd_block, "central-character block and matrices")
     add_pair_options(sp)
-    add_output_options(sp)
     sp.add_argument("--kappa", required=True, help="e.g. 3/2,1/2")
 
-    sp = sub.add_parser("socle", help="socle k-character of one block element")
+    sp = add_command("socle", cmd_socle, "socle k-character of one block element")
     add_pair_options(sp)
-    add_output_options(sp)
+    sp.add_argument("--cutoff", type=_integer)
     sp.add_argument("--kappa", required=True)
     sp.add_argument("--mu", type=_integer, required=True, help="minimal k-type selector")
 
-    sp = sub.add_parser("iwasawa", help="support of V(a) across a principal-series family")
-    add_output_options(sp)
+    sp = add_command("iwasawa", cmd_iwasawa, "support of V(a) across a principal-series family")
     sp.add_argument("--a", type=_integer, required=True)
     sp.add_argument("--c", default="0", help="exact rational character parameter")
 
@@ -367,15 +364,6 @@ def cmd_iwasawa(args) -> dict:
     }
 
 
-_DISPATCH = {
-    "analyze": cmd_analyze,
-    "character": cmd_character,
-    "block": cmd_block,
-    "socle": cmd_socle,
-    "iwasawa": cmd_iwasawa,
-}
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """build_parser() on the first main() call; parse_args keeps no state between calls."""
@@ -404,7 +392,7 @@ def main(argv=None) -> int:
     try:
         # An integer option past its digit ceiling raises out of parse_args.
         args = _parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
-        doc = _DISPATCH[args.command](args)
+        doc = args.run(args)
         text = render_json(doc) if args.format == "json" else render_table(doc)
     except GhcseriesError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

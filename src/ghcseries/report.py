@@ -114,33 +114,27 @@ def _scalar(value) -> str:
 def _walk(node: dict, depth: int, lines: list[str]) -> None:
     pad = "  " * depth
     for key, value in node.items():
+        items = _item_type(value)
         if isinstance(value, dict):
             lines.append(f"{pad}{key}:")
             _walk(value, depth + 1, lines)
-        elif _is_matrix(value):
+        elif items is list:
             lines.append(f"{pad}{key}:")
             lines.extend(_aligned_rows(value, depth + 1))
-        elif _is_record_list(value):
+        elif items is dict:
             lines.append(f"{pad}{key}:")
             lines.extend(_aligned_records(value, depth + 1))
         else:
             lines.append(f"{pad}{key}: {_scalar(value)}")
 
 
-def _is_matrix(value) -> bool:
-    return (
-        isinstance(value, list)
-        and bool(value)
-        and all(isinstance(row, list) for row in value)
-    )
-
-
-def _is_record_list(value) -> bool:
-    return (
-        isinstance(value, list)
-        and bool(value)
-        and all(isinstance(row, dict) for row in value)
-    )
+def _item_type(value):
+    """The one type of the items of a non-empty list; None for anything else."""
+    if isinstance(value, list) and value:
+        types = set(map(type, value))
+        if len(types) == 1:
+            return types.pop()
+    return None
 
 
 def _aligned_rows(rows: list, depth: int) -> list[str]:

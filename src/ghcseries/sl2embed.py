@@ -25,7 +25,6 @@ from .errors import (
     _excerpt,
 )
 from .record import Record
-from .report import rational
 from .rootsys import RootSystem, Weight, _int_root, _scale, _scaled, _unscaled, inner_product
 
 
@@ -207,7 +206,7 @@ def from_root(rs: RootSystem, beta) -> Sl2Embedding:
 
 def _point(w: Weight) -> str:
     """Exact coordinates for messages: (1, -1/2), not Fraction reprs."""
-    return "(" + ", ".join(str(rational(c)) for c in w.coords) + ")"
+    return "(" + ", ".join(str(Fraction(c)) for c in w.coords) + ")"
 
 
 def t_character_of_g(e: Sl2Embedding) -> TruncatedTCharacter:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import functools
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -60,6 +62,9 @@ GOLDEN_COMMANDS = {
     "block_sp4-principal.json": [
         "block", "--fixture", "sp4-principal", "--kappa", "3/2,1/2",
     ],
+    "block_sp4-principal.table.txt": [
+        "block", "--fixture", "sp4-principal", "--kappa", "3/2,1/2", "--format", "table",
+    ],
     "socle_sp4-principal_mu0.json": [
         "socle", "--fixture", "sp4-principal", "--kappa", "3/2,1/2",
         "--mu", "0", "--cutoff", "40",
@@ -80,6 +85,22 @@ def test_golden_outputs_are_stable(name, capsys):
     assert main(GOLDEN_COMMANDS[name]) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / name).read_text()
+
+
+def test_readme_usage_lines_name_the_options_of_each_command():
+    """README's Command line section opens with one usage line per command,
+    naming exactly the options its subparser takes besides -h."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    lines = readme.split("## Command line", 1)[1].split("```")[1].split("\n")[1:-1]
+    (commands,) = [
+        action.choices
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert [line.split()[:2] for line in lines] == [["ghcseries", name] for name in commands]
+    for line, (name, sp) in zip(lines, commands.items()):
+        options = {o for action in sp._actions for o in action.option_strings} - {"-h", "--help"}
+        assert set(re.findall(r"--[a-z-]+", line)) == options, name
 
 
 def test_json_outputs_parse_and_stay_exact():
@@ -301,6 +322,19 @@ EXIT_CASES = [
     (["analyze", "--fixture", "sp4-principal", "a", "--" + LONG, LONG], 2),
     (["analyze", "--f=" + " ".join(LONG)], 2),
     (["character", "--fixture", "sp4-principal", "--mu", "0", "--allow-virtual=" + LONG], 2),
+    # Each command takes only the options it reads: --lambda-convention is
+    # analyze's alone, --cutoff character's and socle's, in any spelling.
+    (["character", "--fixture", "sp4-principal", "--mu", "0", "--lambda-convention", "n"], 2),
+    (["block", "--fixture", "sp4-principal", "--kappa", "3/2,1/2",
+      "--lambda-convention", "perp"], 2),
+    (["socle", "--fixture", "sp4-principal", "--kappa", "3/2,1/2", "--mu", "0",
+      "--lambda-convention", "n"], 2),
+    (["analyze", "--fixture", "sp4-principal", "--cutoff", "10"], 2),
+    (["block", "--fixture", "sp4-principal", "--kappa", "3/2,1/2", "--cutoff", "999999"], 2),
+    (["iwasawa", "--a", "4", "--cutoff", "10"], 2),
+    (["block", "--fixture", "sp4-principal", "--kappa", "3/2,1/2", "--cu", "5"], 2),
+    (["socle", "--algebra", "A1", "--embedding", "principal", "--kappa", "1/2,-1/2",
+      "--mu", "0", "--lambda-convention", "perp"], 2),
 ]
 
 
@@ -756,7 +790,7 @@ def cli_calls(draw):
     cutoff = ["--cutoff", str(draw(st.integers(0, 200)))]
     if command == "iwasawa":
         return ["iwasawa", "--a", str(draw(st.integers(-2, 30))),
-                "--c", str(draw(small_rationals))] + cutoff
+                "--c", str(draw(small_rationals))]
     if draw(st.booleans()):
         name = draw(st.sampled_from(CONTRACT_FIXTURES))
         rs = _root_system(FIXTURES[name].algebra if name in FIXTURES else "A1")

@@ -59,14 +59,19 @@ def _names_trace_zero_families(node) -> bool:
     )
 
 
-def _imports_linalg(node) -> bool:
-    if isinstance(node, ast.ImportFrom):
-        names = [node.module or ""] + [a.name for a in node.names if not node.module]
-    elif isinstance(node, ast.Import):
-        names = [a.name for a in node.names]
-    else:
-        return False
-    return any(name.split(".")[-1] == "linalg" for name in names)
+def _imports(module: str):
+    """A predicate: the node imports a module whose last dotted name is module."""
+
+    def imports(node) -> bool:
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names if not node.module]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            return False
+        return any(name.split(".")[-1] == module for name in names)
+
+    return imports
 
 
 def _names_lcm(node) -> bool:
@@ -79,9 +84,13 @@ def test_only_rootsys_knows_the_trace_zero_realization_and_no_module_solves_syst
     """Only rootsys reads the trace-zero families or takes common denominators
     (math.lcm: the integer layer); no module imports a linear solver."""
     assert _modules_where(_names_trace_zero_families) == {"rootsys"}
-    assert _modules_where(_imports_linalg) == set()
+    assert _modules_where(_imports("linalg")) == set()
     assert not (Path(ghcseries.__file__).parent / "linalg.py").exists()
     assert _modules_where(_names_lcm) == {"rootsys"}
+
+
+def test_only_the_cli_imports_the_presentation_module():
+    assert _modules_where(_imports("report")) == {"cli"}
 
 
 def _absolute_imports(node) -> set[str]:
