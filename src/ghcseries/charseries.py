@@ -14,13 +14,15 @@ weights divided by their gcd, which is 2 when every n-weight is even, as
 for principal pairs, so those tables hold half the entries; a deeper
 limit grows the kept table by its new entries only.  A character reads
 N's and F1's [weight, multiplicity] rows, in order, straight off one
-table through cutoff - mu.
+table through cutoff - mu; with an int dim E every cell is a plain int,
+so the CLI writes them unchecked.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+from itertools import compress, repeat
+from operator import mul, sub
 
 from .errors import (
     InternalInconsistency,
@@ -159,8 +161,14 @@ def _t_rows(mu: int, dim_e: int, g: int, counts: list[int]) -> list[list[int]]:
     counts[j] is the partition count of g * j, so it sits at t-weight
     mu + 2 + g * j; zero entries are left out.
     """
-    t_weights = range(mu + 2, mu + 2 + g * len(counts), g)
-    return [[x, dim_e * c] for x, c in zip(t_weights, counts) if c]
+    return _rows(range(mu + 2, mu + 2 + g * len(counts), g), dim_e, counts)
+
+
+def _rows(labels: range, dim_e: int, mults: list[int]) -> list[list[int]]:
+    """[label, dim_e * m] rows for the nonzero m of mults, built by C iterators;
+    only an int dim E of 1 skips the product, so each cell has dim_e * m's type."""
+    scaled = mults if dim_e == 1 and type(dim_e) is int else map(mul, repeat(dim_e), mults)
+    return list(map(list, compress(zip(labels, scaled), mults)))
 
 
 def euler_k_character(N: TruncatedTCharacter, cutoff: int) -> KCharacter:
@@ -222,11 +230,10 @@ def _f1_rows(mu: int, dim_e: int, g: int, counts: list[int]) -> list[list[int]]:
     """
     if 2 % g:
         raise InternalInconsistency("n carries no weight-2 root")
-    diffs = list(map(operator.sub, counts, [0] * (2 // g) + counts))
+    diffs = list(map(sub, counts, [0] * (2 // g) + counts))
     if diffs and min(diffs) < 0:
         raise InternalInconsistency("negative multiplicity in a genuine character")
-    k_types = range(mu, mu + g * len(diffs), g)
-    return [[delta, dim_e * d] for delta, d in zip(k_types, diffs) if d]
+    return _rows(range(mu, mu + g * len(diffs), g), dim_e, diffs)
 
 
 def _f1_combination(p: CompatibleParabolic, terms, cutoff: int) -> dict[int, int]:

@@ -9,9 +9,13 @@ options its handler reads and carries that handler as args.run.  Each
 command makes one library call and renders the result:
 charseries._character_mults for character, blocks._block_query for block
 and socle.  Each (g, sl(2)) pair is built once per process: the first
-call that names it builds its root system, embedding and minimal parabolic,
-and every later call, whichever spelling it uses, shares them.  A message
-about input text quotes it through errors._excerpt.
+call that names it builds its root system, embedding and minimal
+parabolic, and every later call, whichever spelling it uses, shares them.
+character and socle mark their character rows report.IntRows, written
+unchecked: every cell is a plain int (int options, charseries' int
+tables).  A message about input text quotes it through errors._excerpt,
+and an option a command does not take is an error under that command's
+usage line.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .fixtures import (
     parse_rationals,
 )
 from .parabolic import bounds_report, invariants, minimal_parabolic
-from .report import character_pairs, rational, render_json, render_table, weight_coords
+from .report import IntRows, character_pairs, rational, render_json, render_table, weight_coords
 from .rootsys import Weight, build_root_system
 from .sl2embed import is_regular
 
@@ -68,6 +72,16 @@ class _Parser(argparse.ArgumentParser):
         super().error(re.sub(_ECHOED, _excerpt_echo, message))
 
 
+class _CommandParser(_Parser):
+    """A command's parser, which reports arguments it does not take itself."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ghcseries",
@@ -76,18 +90,23 @@ def build_parser() -> argparse.ArgumentParser:
             "series of (g, sl(2))-modules attached to minimal parabolics."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     def add_command(name, run, help):
         sp = sub.add_parser(name, help=help)
         sp.set_defaults(run=run)
-        sp.add_argument("--format", choices=("json", "table"), default="json")
+        sp.add_argument("--format", choices=("json", "table"), default="json",
+                        help="JSON (default) or an aligned table")
         return sp
 
     def add_pair_options(sp):
         sp.add_argument("--fixture", help="name of a built-in example pair")
         sp.add_argument("--algebra", help="e.g. C2, A2, A1+A1")
         sp.add_argument("--embedding", help="principal, root:COORDS, or vector:COORDS")
+
+    def add_cutoff(sp):
+        sp.add_argument("--cutoff", type=_integer, help=f"largest weight reported (default "
+                        f"{DEFAULT_CUTOFF}, or GHCSERIES_CUTOFF if set; at most {MAX_CUTOFF:,})")
 
     sp = add_command("analyze", cmd_analyze, "invariants, bounds and regularity")
     add_pair_options(sp)
@@ -100,9 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_command("character", cmd_character, "t-character of N and k-character of F1")
     add_pair_options(sp)
-    sp.add_argument("--cutoff", type=_integer)
-    sp.add_argument("--mu", type=_integer, required=True)
-    sp.add_argument("--dim-e", type=_integer, default=1)
+    add_cutoff(sp)
+    sp.add_argument("--mu", type=_integer, required=True, help="lowest k-type of F1")
+    sp.add_argument("--dim-e", type=_integer, default=1, help="dimension of E (default 1)")
     sp.add_argument(
         "--allow-virtual",
         action="store_true",
@@ -115,12 +134,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_command("socle", cmd_socle, "socle k-character of one block element")
     add_pair_options(sp)
-    sp.add_argument("--cutoff", type=_integer)
-    sp.add_argument("--kappa", required=True)
+    add_cutoff(sp)
+    sp.add_argument("--kappa", required=True, help="central character parameter, e.g. 3/2,1/2")
     sp.add_argument("--mu", type=_integer, required=True, help="minimal k-type selector")
 
     sp = add_command("iwasawa", cmd_iwasawa, "support of V(a) across a principal-series family")
-    sp.add_argument("--a", type=_integer, required=True)
+    sp.add_argument("--a", type=_integer, required=True, help="the k-type V(a) to locate")
     sp.add_argument("--c", default="0", help="exact rational character parameter")
 
     return parser
@@ -269,11 +288,11 @@ def cmd_character(args) -> dict:
         "t_character_N": {
             "min_weight": mu + 2,
             "window_hi": cutoff,
-            "mults": n_rows,
+            "mults": IntRows(n_rows),
         },
         "k_character_F1": {
             "virtual": mu < 0,
-            "mults": k_rows,
+            "mults": IntRows(k_rows),
         },
     }
 
@@ -343,7 +362,7 @@ def cmd_socle(args) -> dict:
             else "derived-functor character of the simple submodule"
         ),
         "character": {
-            "mults": character_pairs(character.mults),
+            "mults": IntRows(character_pairs(character.mults)),
             "multiplicity_free": character.is_multiplicity_free(),
             "lowest_k_type": character.support_min(),
         },

@@ -3,6 +3,10 @@
 All numbers stay exact: integers as JSON integers, non-integral
 rationals as "p/q" strings.  Rendering is deterministic, so identical
 inputs produce byte-identical output.
+
+An IntRows list is written unchecked, so only the CLI builds one, from
+the character rows it knows hold plain ints.  Every other list keeps all
+of the writer's checks.
 """
 
 from __future__ import annotations
@@ -30,12 +34,20 @@ def character_pairs(mults: dict) -> list:
     return [[k, v] for k, v in sorted(mults.items())]
 
 
+class IntRows(list):
+    """Rows written unchecked: only cli builds one, from non-empty rows of one
+    width whose every cell has the exact type int.  Nothing checks that, and
+    %d writes what breaks it wrongly: a bool as 1, a Fraction 3/2 as 1, and
+    [[]] as text json.dumps would not give."""
+
+
 def render_json(doc: dict) -> str:
     """json.dumps(doc, indent=2) + "\n", byte for byte.
 
     With indent set, json.dumps leaves its C encoder for a generator per
     item; this writer makes one join per list or dict instead, and a list
-    of equal-width rows of plain ints is one %-format over all its cells.
+    of equal-width rows of plain ints (checked, or trusted as IntRows) is
+    one %-format over all its cells.
     """
     return _json_text(doc, "\n") + "\n"
 
@@ -47,41 +59,52 @@ _ROWS = frozenset([list, tuple])
 
 def _json_text(value, pad: str) -> str:
     """The indent=2 JSON text of value; pad is a newline plus its indent."""
+    kind = type(value)
+    if kind is int:
+        return _int(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is IntRows:
+        return _rows_text(value, tuple(chain.from_iterable(value)), pad) if value else "[]"
     if isinstance(value, (list, tuple)) and value:
         inner = pad + "  "
-        if _ONLY_INT.issuperset(map(type, value)):
+        kinds = set(map(type, value))
+        if kinds <= _ONLY_INT:
             items = map(_int, value)
+        elif kinds <= _ROWS and (text := _int_rows_text(value, pad)) is not None:
+            return text
         else:
-            text = _int_rows_text(value, pad, inner)
-            if text is not None:
-                return text
             items = [_json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(value, dict) and value:
         inner = pad + "  "
         items = [_json_key(k) + ": " + _json_text(v, inner) for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if type(value) is int:
-        return _int(value)
-    if type(value) is str:
-        return _encode_str(value)
-    # bool, None, float, empty containers, int and str subclasses: json's own text,
-    # and its TypeError for anything it cannot encode.
+    # float, empty containers, int and str subclasses: json's own text, and
+    # its TypeError for anything it cannot encode.
     return json.dumps(value)
 
 
-def _int_rows_text(rows, pad: str, inner: str) -> str | None:
-    """The text of non-empty rows of one width, every cell a plain int; else None.
-
-    Every check runs over C iterators: a per-row Python check would cost
-    as much as the formatting it saves.  %d writes an int as repr does,
-    and raises the same ValueError past the int-to-str digit limit.
-    """
-    if not (_ROWS.issuperset(map(type, rows)) and all(rows) and len(set(map(len, rows))) == 1):
+def _int_rows_text(rows, pad: str) -> str | None:
+    """The text of lists or tuples of one width, every cell a plain int, else
+    None; every check runs over C iterators, as a per-row one would cost as
+    much as the formatting it saves."""
+    if not (all(rows) and len(set(map(len, rows))) == 1):
         return None
     cells = tuple(chain.from_iterable(rows))
     if not _ONLY_INT.issuperset(map(type, cells)):
         return None
+    return _rows_text(rows, cells, pad)
+
+
+def _rows_text(rows, cells: tuple, pad: str) -> str:
+    """The text of non-empty rows of one width, from their cells in order; %d
+    writes an int as repr does, and raises its ValueError past the digit limit."""
+    inner = pad + "  "
     deeper = inner + "  "
     row = "[" + deeper + ("," + deeper).join(["%d"] * len(rows[0])) + inner + "]"
     return ("[" + inner + ("," + inner).join([row] * len(rows)) + pad + "]") % cells

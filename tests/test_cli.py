@@ -443,6 +443,50 @@ def test_a_negative_kappa_may_follow_a_prefix_of_its_option(command, prefix, cap
     assert capsys.readouterr() == attached
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["block", "--fixture", "sp4-principal", "--kappa", "3/2,1/2", "--cu", "5"],
+        ["analyze", "--fixture", "sp4-principal", "--cutoff", "10"],
+        ["iwasawa", "--a", "4", "--cutoff", "10"],
+        ["character", "--fixture", "sp4-principal", "--mu", "0", "--lambda-convention", "n"],
+        ["socle", "--fixture", "sp4-principal", "--kappa", "3/2,1/2", "--mu", "0", "stray"],
+        ["analyze", "--fixture", "sp4-principal", "a", "--" + LONG, LONG],
+    ],
+    ids=["block-cu", "analyze-cutoff", "iwasawa-cutoff", "character-lambda", "socle-stray",
+         "analyze-long"],
+)
+def test_an_argument_a_command_does_not_take_is_reported_under_its_usage_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: ghcseries {argv[0]} [-h]")
+    assert f"\nghcseries {argv[0]}: error: unrecognized arguments: " in err
+    assert len(err.encode()) < 1000
+
+
+@pytest.mark.parametrize("command", ["character", "socle"])
+def test_cutoff_help_names_its_default_environment_variable_and_ceiling(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "GHCSERIES_CUTOFF" in text
+    assert f"default {cli.DEFAULT_CUTOFF}" in text and f"{MAX_CUTOFF:,}" in text
+
+
+def test_every_option_of_every_command_has_help_text():
+    (commands,) = [
+        action.choices
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    for name, sp in commands.items():
+        for action in sp._actions:
+            assert action.help, (name, action.option_strings)
+
+
 def test_argparse_rejects_unknown_commands():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import enum
 import importlib.util
 import json
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ghcseries import cli
-from ghcseries.report import render_json
+from ghcseries import cli, report
+from ghcseries.report import IntRows, render_json
+from test_cli import GOLDEN_COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -161,3 +163,91 @@ def test_writer_matches_the_stdlib_encoder_on_socle_and_block_documents(argv, co
     rows = doc["character"]["mults"] if "character" in doc else doc["m_matrix"] + doc["p_matrix"]
     assert len(rows) > 8 and all(type(c) is int for row in rows for c in row)
     assert render_json(doc) == oracle(doc)
+
+
+# At the int-to-str limit: 10**4300 - 1 has 4300 digits.
+EDGE = 10**4300 - 1
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[EDGE, -EDGE], [0, EDGE]],
+        [[-3, -1], [-2, -(10**40)]],
+        [[0, 0], [0, 0]],
+        [[7, 10**19 + 3], [8, 98765432109876543210]],
+        [],
+        [[1, 2, 3]],
+    ],
+    ids=["digit-limit", "negative", "zero", "20-digit", "empty", "one-row"],
+)
+def test_trusted_rows_match_the_stdlib_encoder(rows):
+    for doc in (IntRows(rows), {"mults": IntRows(rows)}, [{"m": IntRows(rows)}, IntRows(rows)]):
+        assert render_json(doc) == oracle(doc)
+
+
+@pytest.mark.parametrize(
+    "rows, text",
+    [
+        ([[]], "[\n  [\n    \n  ]\n]\n"),
+        ([[True, 2]], "[\n  [\n    1,\n    2\n  ]\n]\n"),
+        ([[1, Fraction(3, 2)]], "[\n  [\n    1,\n    1\n  ]\n]\n"),
+    ],
+    ids=["zero-width", "bool", "fraction"],
+)
+def test_rows_outside_the_trusted_contract_are_written_wrongly(rows, text):
+    # Out of contract: IntRows takes only non-empty rows of exact-type ints,
+    # and nothing checks that, so these come out as wrong text, not an error.
+    # The same rows as a plain list keep the stdlib encoder's text or error.
+    assert render_json(IntRows(rows)) == text
+    if all(type(c) is not Fraction for row in rows for c in row):
+        assert render_json(rows) == oracle(rows) != text
+    else:
+        with pytest.raises(TypeError):
+            render_json(rows)
+
+
+CHARACTER_GOLDENS = sorted(n for n in GOLDEN_COMMANDS if n.startswith(("character", "socle")))
+
+
+def _int_rows_in(node):
+    """Every IntRows list in a document, in order."""
+    if isinstance(node, IntRows):
+        return [node]
+    values = node.values() if isinstance(node, dict) else node if isinstance(node, list) else ()
+    return [rows for value in values for rows in _int_rows_in(value)]
+
+
+def _trusted_argvs():
+    for name in CHARACTER_GOLDENS:
+        yield GOLDEN_COMMANDS[name]
+    for alg, emb in BENCH.DEEP_PAIRS:
+        for cutoff in BENCH.DEEP_LADDER:
+            yield BENCH.deep_character_argv(alg, emb, BENCH.DEEP_MUS[-1], cutoff)
+        yield BENCH.deep_character_argv(alg, emb, 3, 40) + ["--dim-e", "3"]
+        yield BENCH.deep_character_argv(alg, emb, -2, 40) + ["--allow-virtual"]
+    yield ["socle", *SP4_BLOCK, "--mu", "0", "--cutoff", str(BENCH.DEEP_SOCLE_CUTOFF)]
+
+
+def test_every_trusted_row_list_holds_plain_ints_of_one_width():
+    parser = cli.build_parser()
+    for argv in _trusted_argvs():
+        args = parser.parse_args(argv)
+        found = _int_rows_in(args.run(args))
+        assert len(found) == (2 if argv[0] == "character" else 1), argv
+        for rows in found:
+            assert all(type(row) is list and len(row) == 2 for row in rows), argv
+            assert all(type(cell) is int for row in rows for cell in row), argv
+
+
+@pytest.mark.parametrize("name", CHARACTER_GOLDENS)
+def test_golden_character_documents_are_written_without_json_or_row_checks(
+    name, monkeypatch, capsys
+):
+    def forbidden(*args):
+        raise AssertionError("left the trusted writer path")
+
+    monkeypatch.setattr(report, "json", types.SimpleNamespace(dumps=forbidden))
+    monkeypatch.setattr(report, "_int_rows_text", forbidden)
+    assert cli.main(GOLDEN_COMMANDS[name]) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
