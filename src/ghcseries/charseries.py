@@ -37,10 +37,12 @@ from .sl2embed import KCharacter, TruncatedTCharacter
 
 
 class ModuleDatumE(Record):
-    """Simple finite-dimensional p-module datum; t acts via omega."""
+    """Simple finite-dimensional p-module datum; t acts via omega.  Both fields are ints."""
 
     def __init__(self, omega: int, dim_e: int = 1):
-        if dim_e < 1:
+        if type(omega) is not int:
+            raise InvalidInput("omega must be an integer")
+        if type(dim_e) is not int or dim_e < 1:
             raise InvalidInput("dim E must be a positive integer")
         self._init(locals())
 
@@ -166,8 +168,8 @@ def _t_rows(mu: int, dim_e: int, g: int, counts: list[int]) -> list[list[int]]:
 
 def _rows(labels: range, dim_e: int, mults: list[int]) -> list[list[int]]:
     """[label, dim_e * m] rows for the nonzero m of mults, built by C iterators;
-    only an int dim E of 1 skips the product, so each cell has dim_e * m's type."""
-    scaled = mults if dim_e == 1 and type(dim_e) is int else map(mul, repeat(dim_e), mults)
+    a dim E of 1 skips the product."""
+    scaled = mults if dim_e == 1 else map(mul, repeat(dim_e), mults)
     return list(map(list, compress(zip(labels, scaled), mults)))
 
 

@@ -13,9 +13,9 @@ call that names it builds its root system, embedding and minimal
 parabolic, and every later call, whichever spelling it uses, shares them.
 character and socle mark their character rows report.IntRows, written
 unchecked: every cell is a plain int (int options, charseries' int
-tables).  A message about input text quotes it through errors._excerpt,
-and an option a command does not take is an error under that command's
-usage line.
+tables).  A message about input text quotes it through errors._excerpt.
+Each parser, the top one and every command's, is a _Parser: an argument it
+does not take is an error under its own usage line.
 """
 
 from __future__ import annotations
@@ -65,15 +65,12 @@ def _excerpt_echo(match) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose own error messages quote input through _excerpt;
-    add_subparsers builds its subparsers with the same class."""
+    """ArgumentParser whose own error messages quote input through _excerpt,
+    and which reports the arguments it does not take itself, under its own
+    usage line; add_subparsers builds each command's parser with this class."""
 
     def error(self, message):
         super().error(re.sub(_ECHOED, _excerpt_echo, message))
-
-
-class _CommandParser(_Parser):
-    """A command's parser, which reports arguments it does not take itself."""
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
@@ -90,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
             "series of (g, sl(2))-modules attached to minimal parabolics."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name, run, help):
         sp = sub.add_parser(name, help=help)

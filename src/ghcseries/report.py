@@ -4,9 +4,9 @@ All numbers stay exact: integers as JSON integers, non-integral
 rationals as "p/q" strings.  Rendering is deterministic, so identical
 inputs produce byte-identical output.
 
-An IntRows list is written unchecked, so only the CLI builds one, from
-the character rows it knows hold plain ints.  Every other list keeps all
-of the writer's checks.
+An IntRows list is written unchecked with one %-format, so only the CLI
+builds one, from the character rows it knows hold plain ints.  Every other
+list is written item by item.
 """
 
 from __future__ import annotations
@@ -45,16 +45,13 @@ def render_json(doc: dict) -> str:
     """json.dumps(doc, indent=2) + "\n", byte for byte.
 
     With indent set, json.dumps leaves its C encoder for a generator per
-    item; this writer makes one join per list or dict instead, and a list
-    of equal-width rows of plain ints (checked, or trusted as IntRows) is
-    one %-format over all its cells.
+    item; this writer makes one join per list or dict instead, and an
+    IntRows list is one %-format over all its cells.
     """
     return _json_text(doc, "\n") + "\n"
 
 
 _int = int.__repr__
-_ONLY_INT = frozenset([int])
-_ROWS = frozenset([list, tuple])
 
 
 def _json_text(value, pad: str) -> str:
@@ -72,13 +69,7 @@ def _json_text(value, pad: str) -> str:
         return _rows_text(value, tuple(chain.from_iterable(value)), pad) if value else "[]"
     if isinstance(value, (list, tuple)) and value:
         inner = pad + "  "
-        kinds = set(map(type, value))
-        if kinds <= _ONLY_INT:
-            items = map(_int, value)
-        elif kinds <= _ROWS and (text := _int_rows_text(value, pad)) is not None:
-            return text
-        else:
-            items = [_json_text(v, inner) for v in value]
+        items = [_json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(value, dict) and value:
         inner = pad + "  "
@@ -87,18 +78,6 @@ def _json_text(value, pad: str) -> str:
     # float, empty containers, int and str subclasses: json's own text, and
     # its TypeError for anything it cannot encode.
     return json.dumps(value)
-
-
-def _int_rows_text(rows, pad: str) -> str | None:
-    """The text of lists or tuples of one width, every cell a plain int, else
-    None; every check runs over C iterators, as a per-row one would cost as
-    much as the formatting it saves."""
-    if not (all(rows) and len(set(map(len, rows))) == 1):
-        return None
-    cells = tuple(chain.from_iterable(rows))
-    if not _ONLY_INT.issuperset(map(type, cells)):
-        return None
-    return _rows_text(rows, cells, pad)
 
 
 def _rows_text(rows, cells: tuple, pad: str) -> str:

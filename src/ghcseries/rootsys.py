@@ -12,8 +12,8 @@ coordinate is an integer in these realizations, and build_root_system
 checks it.  Weights, and every weight the library returns, keep exact
 Fraction coordinates; no floating point anywhere.  A Weyl group is built
 once per process for each simple system, in one closure pass that also
-gives the element lengths, the left-multiplication table its Bruhat order
-reads and the BFS parent of every element.
+gives the element lengths and the left-multiplication table that its
+Bruhat order and orbits read.
 
 The private integer layer below is the only code that turns weights into
 ints (_scale, _scaled, _unscaled) and takes coroot pairings (_pairing) and
@@ -280,15 +280,12 @@ class WeylGroup(Record):
 
     elements are sorted by (length, matrix); index maps each matrix to its
     position there, and left[k][i] is the position of s_k times element i,
-    s_k the reflection in simple_roots[k].  parents[j] = (k, i) says that
-    the closure first found element j as s_k times element i, so i < j;
-    the identity, element 0, has parent None.  Groups are shared and
-    compared by identity.
+    s_k the reflection in simple_roots[k].  Groups are shared and compared
+    by identity.
     """
 
     def __init__(self, simple_roots: tuple[Weight, ...], elements: tuple[WeylElement, ...],
-                 index: dict, left: tuple[tuple[int, ...], ...],
-                 parents: tuple[tuple[int, int] | None, ...]):
+                 index: dict, left: tuple[tuple[int, ...], ...]):
         self._init(locals())
 
     __eq__ = object.__eq__
@@ -319,17 +316,16 @@ def generate_group(generators: Sequence[Weight], ambient: int) -> WeylGroup:
     # Matrices are numbered as found; products and depths refer to those
     # numbers, so each product is hashed once.
     found = {ident: 0}
-    mats, depth, parent = [ident], [0], [None]
+    mats, depth = [ident], [0]
     products: list[list[int]] = [[] for _ in gen_mats]
     for k, m in enumerate(mats):  # mats grows while it is read: breadth first
-        for g_index, (g, row) in enumerate(zip(gen_mats, products)):
+        for g, row in zip(gen_mats, products):
             prod = _mat_mul(g, m)
             number = found.get(prod)
             if number is None:
                 number = found[prod] = len(mats)
                 mats.append(prod)
                 depth.append(depth[k] + 1)
-                parent.append((g_index, k))
             row.append(number)
     order = sorted(range(len(mats)), key=lambda k: (depth[k], mats[k]))
     position = {k: i for i, k in enumerate(order)}
@@ -339,10 +335,6 @@ def generate_group(generators: Sequence[Weight], ambient: int) -> WeylGroup:
         elements=elements,
         index={w.matrix: i for i, w in enumerate(elements)},
         left=tuple(tuple(position[row[k]] for k in order) for row in products),
-        parents=tuple(
-            None if parent[k] is None else (parent[k][0], position[parent[k][1]])
-            for k in order
-        ),
     )
 
 
@@ -416,13 +408,16 @@ def _reflect(x: tuple[int, ...], root: tuple[tuple[int, ...], int]) -> tuple[int
 def _orbit(group: WeylGroup, x: tuple[int, ...]) -> list[tuple[int, ...]]:
     """[w(x) for w in group], in group order, for an int vector x at _scale.
 
-    Each image is one reflection of its BFS parent's image:
-    s_k w(x) = w(x) - <w(x), alpha_k^vee> alpha_k.
+    Elements are sorted by length, so each is first reached, in the left
+    table, from a shorter one whose image is already known, and its image
+    is one reflection of that: s_k w(x) = w(x) - <w(x), alpha_k^vee> alpha_k.
     """
     roots = [_int_root(a) for a in group.simple_roots]
-    images = [x]
-    for k, i in group.parents[1:]:
-        images.append(_reflect(images[i], roots[k]))
+    images = [x] + [None] * (len(group) - 1)
+    for i, image in enumerate(images):  # each image is set before the walk reaches it
+        for root, row in zip(roots, group.left):
+            if images[row[i]] is None:
+                images[row[i]] = _reflect(image, root)
     return images
 
 

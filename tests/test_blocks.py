@@ -111,6 +111,19 @@ def test_block_with_levi_sl2_weights_dimensions():
     assert [(e.mu, e.dim_e) for e in block] == [(-2, 1), (-1, 2), (1, 2), (2, 1)]
 
 
+def test_block_refuses_a_larger_levi_and_a_foreign_central_character():
+    rs = build_root_system((("A", 4),))
+    # The Levi of the root (1, -1, 0, 0, 0) in A4 has three positive roots.
+    p = minimal_parabolic(from_root(rs, (1, -1, 0, 0, 0)))
+    with pytest.raises(UnsupportedLevi, match="beyond one sl"):
+        enumerate_block(central_character_from_kappa(Weight.of(5, 4, 3, 2, 1), rs), p)
+    sp4, _ = _sp4_block()
+    sl3 = get_fixture("sl3-principal").build_parabolic().embedding.rs
+    foreign = central_character_from_kappa(Weight.of(1, 0, -1), sl3)
+    with pytest.raises(InvalidInput, match="different root system"):
+        enumerate_block(foreign, sp4)
+
+
 def test_integral_subgroup_orders():
     rs = build_root_system((("C", 2),))
     assert len(integral_weyl_subgroup(Weight.of(Fraction(3, 2), Fraction(1, 2)), rs)) == 4

@@ -163,6 +163,9 @@ def test_euler_window_requirements():
         euler_k_character(narrow, 12)
     with pytest.raises(WindowTooNarrow):
         euler_k_character(TruncatedTCharacter({2: 1}, window=(-30, 11)), 10)
+    # Trusted from above -cutoff - 2 = -12: the low end is too narrow.
+    with pytest.raises(WindowTooNarrow, match="down to -12, trusted only from -11"):
+        euler_k_character(TruncatedTCharacter({2: 1}, window=(-11, 12)), 10)
     ok = TruncatedTCharacter({2: 1}, window=(-12, 12))
     theta = euler_k_character(ok, 10)
     assert theta.mult(2) == 1 and theta.mult(0) == -1

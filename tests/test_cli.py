@@ -337,6 +337,15 @@ EXIT_CASES = [
       "--mu", "0", "--lambda-convention", "perp"], 2),
 ]
 
+# Library refusals that no case above reaches, with the whole of their stderr.
+REFUSALS = [
+    (["socle", "--fixture", "sp4-principal", "--kappa", "2,1", "--mu", "-2"], 2,
+     "error: OutOfRegime: socle formula requires mu >= 0, got -2\n"),
+    (["analyze", "--algebra", "A0", "--embedding", "principal"], 3,
+     "error: UnsupportedAlgebra: rank 0 must be positive\n"),
+]
+EXIT_CASES += [(args, code) for args, code, _ in REFUSALS]
+
 
 @pytest.mark.parametrize("args,code", EXIT_CASES)
 def test_error_exit_codes(args, code, capsys, monkeypatch):
@@ -353,6 +362,12 @@ def test_error_exit_codes(args, code, capsys, monkeypatch):
     assert len(err.encode()) < 1000
     assert "Fraction(" not in err
     assert "9" * (MAX_RATIONAL_DIGITS + 1) not in err
+
+
+@pytest.mark.parametrize("args, code, err", REFUSALS, ids=["socle-negative-mu", "rank-zero"])
+def test_library_refusals_name_their_error(args, code, err, capsys):
+    assert main(args) == code
+    assert capsys.readouterr().err == err
 
 
 def test_non_integral_grading_names_the_root_and_its_exact_value(capsys):
@@ -464,6 +479,16 @@ def test_an_argument_a_command_does_not_take_is_reported_under_its_usage_line(ar
     assert err.startswith(f"usage: ghcseries {argv[0]} [-h]")
     assert f"\nghcseries {argv[0]}: error: unrecognized arguments: " in err
     assert len(err.encode()) < 1000
+
+
+def test_an_argument_before_the_command_is_reported_under_the_top_usage_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--bogus", "analyze", "--fixture", "sp4-principal"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage: ghcseries [-h] {analyze,character,block,socle,iwasawa} ...\n"
+        "ghcseries: error: unrecognized arguments: --bogus\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["character", "socle"])

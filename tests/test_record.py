@@ -38,7 +38,7 @@ FIELDS = {
     "Weight": "coords",
     "RootSystem": "type_label ambient roots positive_roots simple_roots rho_tilde factor_slices",
     "WeylElement": "matrix length",
-    "WeylGroup": "simple_roots elements index left parents",
+    "WeylGroup": "simple_roots elements index left",
     "Sl2Embedding": "rs h_vector kind grading decomposition",
     "Sl2Decomposition": "counts",
     "CompatibleParabolic": "embedding n_roots m_roots n_weights m_positive_roots "
@@ -85,7 +85,9 @@ def _twin(cls):
     if cls is ModuleDatumE:
 
         def post_init(self):
-            if self.dim_e < 1:
+            if type(self.omega) is not int:
+                raise InvalidInput("omega must be an integer")
+            if type(self.dim_e) is not int or self.dim_e < 1:
                 raise InvalidInput("dim E must be a positive integer")
 
         return dataclasses.make_dataclass(
@@ -156,9 +158,12 @@ def test_module_datum_default_and_refusal_match_the_twin():
     twin = _twin(ModuleDatumE)
     assert repr(ModuleDatumE(5)) == repr(twin(5)) == "ModuleDatumE(omega=5, dim_e=1)"
     assert repr(ModuleDatumE(omega=5, dim_e=3)) == repr(twin(omega=5, dim_e=3))
-    for dim_e in (0, -2):
+    for dim_e in (0, -2, Fraction(3, 2), Fraction(2), 1.5, 2.0, True):
         ours, theirs = _outcome(ModuleDatumE, 5, dim_e), _outcome(twin, 5, dim_e)
         assert ours == theirs == ("InvalidInput", "dim E must be a positive integer")
+    for omega in (Fraction(1, 2), Fraction(3), 1.0, True, None):
+        ours, theirs = _outcome(ModuleDatumE, omega, 2), _outcome(twin, omega, 2)
+        assert ours == theirs == ("InvalidInput", "omega must be an integer")
 
 
 @pytest.mark.parametrize("x", SAMPLES, ids=lambda x: type(x).__name__)

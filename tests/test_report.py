@@ -84,8 +84,7 @@ class Cell(enum.IntEnum):
     ONE = 1
 
 
-# Rows the one-format path must leave to the recursion (a bool cell prints
-# true, not 1), and rows it takes.
+# Row lists that are not IntRows, written item by item whatever their cells.
 @pytest.mark.parametrize(
     "doc",
     [
@@ -247,7 +246,15 @@ def test_golden_character_documents_are_written_without_json_or_row_checks(
     def forbidden(*args):
         raise AssertionError("left the trusted writer path")
 
+    rows_text, formats = report._rows_text, []
+
+    def counted(*args):
+        formats.append(args)
+        return rows_text(*args)
+
     monkeypatch.setattr(report, "json", types.SimpleNamespace(dumps=forbidden))
-    monkeypatch.setattr(report, "_int_rows_text", forbidden)
+    monkeypatch.setattr(report, "_rows_text", counted)
     assert cli.main(GOLDEN_COMMANDS[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+    # One %-format per IntRows list: N's and F1's rows, or the socle's.
+    assert len(formats) == (2 if name.startswith("character") else 1)

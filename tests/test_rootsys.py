@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ghcseries import (
+    DimensionMismatch,
     GroupMismatch,
     InvalidInput,
     UnsupportedAlgebra,
@@ -326,6 +327,9 @@ def test_weight_arithmetic_and_validation():
     assert (-a).coords == (-1, -2)
     with pytest.raises(InvalidInput):
         inner_product(a, Weight.of(1, 2, 3))
+    element = weyl_group(build_root_system((("C", 2),)))[1]
+    with pytest.raises(DimensionMismatch, match="acts on dimension 2, got 3"):
+        element.apply(Weight.of(1, 2, 3))
 
 
 @given(
