@@ -13,16 +13,16 @@ and shared by every pair with that multiset.  A table runs over the
 weights divided by their gcd, which is 2 when every n-weight is even, as
 for principal pairs, so those tables hold half the entries; a deeper
 limit grows the kept table by its new entries only.  A character reads
-N's and F1's [weight, multiplicity] rows, in order, straight off one
-table through cutoff - mu; with an int dim E every cell is a plain int,
-so the CLI writes them unchecked.
+N's and F1's rows, in order, straight off one table through cutoff - mu,
+as flat cells [weight, multiplicity, weight, multiplicity, ...]; with an
+int dim E every cell is a plain int, so the CLI writes them unchecked.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress, repeat
-from operator import mul, sub
+from itertools import chain, compress, repeat
+from operator import add, mul, neg, sub
 
 from .errors import (
     InternalInconsistency,
@@ -154,11 +154,11 @@ def t_character_N(
     """
     mu = E.omega + p.two_rho_n_perp
     g, counts = _partition_counts(p.n_weights, cutoff - mu - 2)
-    return TruncatedTCharacter(dict(_t_rows(mu, E.dim_e, g, counts)), window=(None, cutoff))
+    return TruncatedTCharacter(_mults(_t_rows(mu, E.dim_e, g, counts)), window=(None, cutoff))
 
 
-def _t_rows(mu: int, dim_e: int, g: int, counts: list[int]) -> list[list[int]]:
-    """[t-weight, multiplicity] rows of N read off a partition table with step g.
+def _t_rows(mu: int, dim_e: int, g: int, counts: list[int]) -> list[int]:
+    """Cells [t-weight, multiplicity, ...] of N off a partition table with step g.
 
     counts[j] is the partition count of g * j, so it sits at t-weight
     mu + 2 + g * j; zero entries are left out.
@@ -166,11 +166,19 @@ def _t_rows(mu: int, dim_e: int, g: int, counts: list[int]) -> list[list[int]]:
     return _rows(range(mu + 2, mu + 2 + g * len(counts), g), dim_e, counts)
 
 
-def _rows(labels: range, dim_e: int, mults: list[int]) -> list[list[int]]:
-    """[label, dim_e * m] rows for the nonzero m of mults, built by C iterators;
-    a dim E of 1 skips the product."""
-    scaled = mults if dim_e == 1 else map(mul, repeat(dim_e), mults)
-    return list(map(list, compress(zip(labels, scaled), mults)))
+def _rows(labels: range, dim_e: int, mults: list[int]) -> list[int]:
+    """[label, dim_e * m, label, dim_e * m, ...] cells for the nonzero m of
+    mults, filled by C iterators; a dim E of 1 skips the product."""
+    kept = list(compress(labels, mults))
+    cells = [0] * (2 * len(kept))
+    cells[::2] = kept
+    cells[1::2] = compress(mults if dim_e == 1 else map(mul, repeat(dim_e), mults), mults)
+    return cells
+
+
+def _mults(cells: list[int]) -> dict[int, int]:
+    """The label -> multiplicity map of flat cells."""
+    return dict(zip(cells[::2], cells[1::2]))
 
 
 def euler_k_character(N: TruncatedTCharacter, cutoff: int) -> KCharacter:
@@ -222,40 +230,40 @@ def _f1_mu(p: CompatibleParabolic, E: ModuleDatumE, cutoff: int) -> int:
     return mu
 
 
-def _f1_rows(mu: int, dim_e: int, g: int, counts: list[int]) -> list[list[int]]:
-    """[k-type, multiplicity] rows of F1 from a partition table with step g
-    through cutoff - mu.
+def _f1_diffs(g: int, counts: list[int]) -> list[int]:
+    """First differences P(i) - P(i - 2) of a partition table with step g.
 
-    V(mu + i) has dim E times P(i) - P(i - 2), P the partition count; 2 is
-    an n-weight, so g divides 2 and P(i - 2) sits 2 // g entries back.
-    Zero entries are left out.
+    V(mu + i) has dim E times P(i) - P(i - 2) in F1, P the partition count;
+    2 is an n-weight, so g divides 2 and P(i - 2) sits 2 // g entries back.
     """
     if 2 % g:
         raise InternalInconsistency("n carries no weight-2 root")
     diffs = list(map(sub, counts, [0] * (2 // g) + counts))
     if diffs and min(diffs) < 0:
         raise InternalInconsistency("negative multiplicity in a genuine character")
-    return _rows(range(mu, mu + g * len(diffs), g), dim_e, diffs)
+    return diffs
 
 
 def _f1_combination(p: CompatibleParabolic, terms, cutoff: int) -> dict[int, int]:
     """sum coeff ch_k F1(p, E) through cutoff over the (coeff, E) terms, each
     checked in turn first; F1 of E reads the entries through cutoff - mu_E of
-    one partition table through cutoff - min mu_E."""
+    one partition table through cutoff - low, low the least mu_E, and adds
+    into one list over the k-types low..cutoff at every g-th from mu_E on."""
     checked = [(coeff, _f1_mu(p, E, cutoff), E.dim_e) for coeff, E in terms]
     low = min((mu for _, mu, _ in checked), default=cutoff + 1)
     g, counts = _partition_counts(p.n_weights, cutoff - low)
-    accum: dict[int, int] = {}
+    total = [0] * (cutoff - low + 1)
     for coeff, mu, dim_e in checked:
-        for delta, c in _f1_rows(mu, dim_e, g, counts[: _entries(cutoff - mu, g)]):
-            accum[delta] = accum.get(delta, 0) + coeff * c
-    return accum
+        diffs = _f1_diffs(g, counts[: _entries(cutoff - mu, g)])
+        at = slice(mu - low, None, g)
+        total[at] = map(add, total[at], map(mul, repeat(coeff * dim_e), diffs))
+    return dict(compress(zip(range(low, cutoff + 1), total), total))
 
 
 def _character_mults(p, mu: int, dim_e: int, cutoff: int, allow_virtual: bool):
-    """N's t- and F1's k-multiplicities through cutoff, as sorted [weight,
-    multiplicity] rows; for mu < 0, allowed only with allow_virtual, the
-    negated Euler character stands in for F1.
+    """N's t- and F1's k-multiplicities through cutoff, as flat cells [weight,
+    multiplicity, ...] in weight order; for mu < 0, allowed only with
+    allow_virtual, the negated Euler character stands in for F1.
 
     One partition table through cutoff - mu serves both: N reads its entries
     through cutoff - mu - 2, while F1, and the Euler character's N through
@@ -267,6 +275,7 @@ def _character_mults(p, mu: int, dim_e: int, cutoff: int, allow_virtual: bool):
     g, counts = _partition_counts(p.n_weights, cutoff - mu)
     t_rows = _t_rows(mu, dim_e, g, counts[: _entries(cutoff - mu - 2, g)])
     if mu >= 0:
-        return t_rows, _f1_rows(mu, dim_e, g, counts)
-    n_char = TruncatedTCharacter(dict(_t_rows(mu, dim_e, g, counts)), window=(None, cutoff + 2))
-    return t_rows, [[d, -c] for d, c in euler_k_character(n_char, cutoff).items()]
+        return t_rows, _rows(range(mu, cutoff + 1, g), dim_e, _f1_diffs(g, counts))
+    n_char = TruncatedTCharacter(_mults(_t_rows(mu, dim_e, g, counts)), window=(None, cutoff + 2))
+    euler = euler_k_character(n_char, cutoff).mults
+    return t_rows, list(chain.from_iterable(zip(euler, map(neg, euler.values()))))

@@ -11,9 +11,10 @@ charseries._character_mults for character, blocks._block_query for block
 and socle.  Each (g, sl(2)) pair is built once per process: the first
 call that names it builds its root system, embedding and minimal
 parabolic, and every later call, whichever spelling it uses, shares them.
-character and socle mark their character rows report.IntRows, written
-unchecked: every cell is a plain int (int options, charseries' int
-tables).  A message about input text quotes it through errors._excerpt.
+character, socle and block hand report their rows as IntRows, flat cells
+written unchecked: every cell is a plain int (int options, charseries' int
+tables, blocks' int matrices, never empty).  A message about input text
+quotes it through errors._excerpt.
 Each parser, the top one and every command's, is a _Parser: an argument it
 does not take is an error under its own usage line.
 """
@@ -25,6 +26,7 @@ import functools
 import os
 import re
 import sys
+from itertools import chain
 
 from .blocks import _block_query, iwasawa_sl3_support, socle_k_character
 from .charseries import MAX_CUTOFF, _character_mults
@@ -285,11 +287,11 @@ def cmd_character(args) -> dict:
         "t_character_N": {
             "min_weight": mu + 2,
             "window_hi": cutoff,
-            "mults": IntRows(n_rows),
+            "mults": IntRows(n_rows, 2),
         },
         "k_character_F1": {
             "virtual": mu < 0,
-            "mults": IntRows(k_rows),
+            "mults": IntRows(k_rows, 2),
         },
     }
 
@@ -326,8 +328,8 @@ def cmd_block(args) -> dict:
         "elements": [
             _element_doc(e, oid) for e, oid in zip(matrix.elements, matrix.orbit_ids)
         ],
-        "m_matrix": [list(row) for row in matrix.m_matrix],
-        "p_matrix": [list(row) for row in matrix.p_matrix],
+        "m_matrix": IntRows(chain.from_iterable(matrix.m_matrix), len(matrix.elements)),
+        "p_matrix": IntRows(chain.from_iterable(matrix.p_matrix), len(matrix.elements)),
     }
 
 
@@ -359,7 +361,7 @@ def cmd_socle(args) -> dict:
             else "derived-functor character of the simple submodule"
         ),
         "character": {
-            "mults": IntRows(character_pairs(character.mults)),
+            "mults": IntRows(character_pairs(character.mults), 2),
             "multiplicity_free": character.is_multiplicity_free(),
             "lowest_k_type": character.support_min(),
         },

@@ -4,9 +4,10 @@ All numbers stay exact: integers as JSON integers, non-integral
 rationals as "p/q" strings.  Rendering is deterministic, so identical
 inputs produce byte-identical output.
 
-An IntRows list is written unchecked with one %-format, so only the CLI
-builds one, from the character rows it knows hold plain ints.  Every other
-list is written item by item.
+An IntRows list holds the flat cells of rows of one stated width and is
+written, as those rows, unchecked with one %-format, so only the CLI builds
+one, from character rows and block matrices it knows hold plain ints.
+Every other list is written item by item.
 """
 
 from __future__ import annotations
@@ -30,15 +31,21 @@ def weight_coords(w) -> list:
 
 
 def character_pairs(mults: dict) -> list:
-    """Sorted [weight, multiplicity] pairs of a character map."""
-    return [[k, v] for k, v in sorted(mults.items())]
+    """Flat [weight, multiplicity, ...] cells of a character map, by weight."""
+    return list(chain.from_iterable(sorted(mults.items())))
 
 
 class IntRows(list):
-    """Rows written unchecked: only cli builds one, from non-empty rows of one
-    width whose every cell has the exact type int.  Nothing checks that, and
-    %d writes what breaks it wrongly: a bool as 1, a Fraction 3/2 as 1, and
-    [[]] as text json.dumps would not give."""
+    """Flat cells of rows of width cells each, written unchecked as those rows:
+    only cli builds one, with width >= 1 dividing len, every cell an exact int.
+    Nothing checks that, and %d writes what breaks it wrongly: a bool as 1, a
+    Fraction 3/2 as 1, and rows [[]] as text json.dumps would not give."""
+
+    __slots__ = ("width",)
+
+    def __init__(self, cells, width: int):
+        super().__init__(cells)
+        self.width = width
 
 
 def render_json(doc: dict) -> str:
@@ -66,7 +73,7 @@ def _json_text(value, pad: str) -> str:
     if value is None:
         return "null"
     if kind is IntRows:
-        return _rows_text(value, tuple(chain.from_iterable(value)), pad) if value else "[]"
+        return _rows_text(value.width, tuple(value), pad) if value else "[]"
     if isinstance(value, (list, tuple)) and value:
         inner = pad + "  "
         items = [_json_text(v, inner) for v in value]
@@ -80,13 +87,13 @@ def _json_text(value, pad: str) -> str:
     return json.dumps(value)
 
 
-def _rows_text(rows, cells: tuple, pad: str) -> str:
-    """The text of non-empty rows of one width, from their cells in order; %d
+def _rows_text(width: int, cells: tuple, pad: str) -> str:
+    """The text of the rows of width cells each that cells hold in order; %d
     writes an int as repr does, and raises its ValueError past the digit limit."""
     inner = pad + "  "
     deeper = inner + "  "
-    row = "[" + deeper + ("," + deeper).join(["%d"] * len(rows[0])) + inner + "]"
-    return ("[" + inner + ("," + inner).join([row] * len(rows)) + pad + "]") % cells
+    row = "[" + deeper + ("," + deeper).join(["%d"] * width) + inner + "]"
+    return ("[" + inner + ("," + inner).join([row] * (len(cells) // width)) + pad + "]") % cells
 
 
 def _json_key(key) -> str:
@@ -116,6 +123,8 @@ def _scalar(value) -> str:
 def _walk(node: dict, depth: int, lines: list[str]) -> None:
     pad = "  " * depth
     for key, value in node.items():
+        if type(value) is IntRows and value:
+            value = [value[i : i + value.width] for i in range(0, len(value), value.width)]
         items = _item_type(value)
         if isinstance(value, dict):
             lines.append(f"{pad}{key}:")

@@ -193,6 +193,8 @@ def from_principal(rs: RootSystem) -> Sl2Embedding:
 def from_root(rs: RootSystem, beta) -> Sl2Embedding:
     """Embedding generated by the root spaces of +-beta; h is the coroot."""
     beta_w = beta if isinstance(beta, Weight) else Weight.of(*beta)
+    if len(beta_w.coords) != rs.ambient:
+        raise NotARoot(f"root has length {len(beta_w.coords)}, ambient is {rs.ambient}")
     try:
         index = rs.roots.index(beta_w)
     except ValueError:

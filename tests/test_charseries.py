@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import functools
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghcseries import (
@@ -15,14 +16,17 @@ from ghcseries import (
     TruncatedTCharacter,
     UnsupportedRegime,
     WindowTooNarrow,
+    build_root_system,
     euler_k_character,
     f1_k_character,
     get_fixture,
+    minimal_parabolic,
     partition_function,
     t_character_N,
 )
 from ghcseries import charseries
 from ghcseries.charseries import MAX_CUTOFF, _partition_counts
+from ghcseries.fixtures import parse_algebra, parse_embedding
 from oracles import brute_vector_partitions, koszul_euler_coefficient
 
 
@@ -240,3 +244,54 @@ def test_f1_requires_nonnegative_mu(pair):
     omega = -1 - p.two_rho_n_perp
     with pytest.raises(OutOfRegime):
         f1_k_character(p, ModuleDatumE(omega=omega), 12)
+
+
+# (algebra, embedding, gcd of the n-weights): the partition table steps by 1
+# on the root pairs and by 2 on the principal ones.
+F1_PAIRS = [
+    ("C2", "root:2,0", 1),
+    ("G2", "root:2,-1,-1", 1),
+    ("C2", "principal", 2),
+    ("G2", "principal", 2),
+]
+
+
+@functools.cache
+def _parabolic(algebra: str, embedding: str):
+    return minimal_parabolic(parse_embedding(embedding, build_root_system(parse_algebra(algebra))))
+
+
+# Terms are (coeff, dim E, mu); mu runs two past the cutoff, where a term
+# adds nothing.
+F1_TERMS = st.integers(0, 200).flatmap(
+    lambda cutoff: st.tuples(
+        st.just(cutoff),
+        st.lists(
+            st.tuples(st.sampled_from([1, -1]), st.integers(1, 3), st.integers(0, cutoff + 2)),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+)
+
+
+@given(st.sampled_from(F1_PAIRS), F1_TERMS)
+@example(F1_PAIRS[2], (40, [(1, 1, 0), (-1, 2, 3), (1, 3, 4), (-1, 1, 7)]))
+@example(F1_PAIRS[0], (9, [(1, 2, 9), (-1, 1, 10), (1, 3, 11)]))
+def test_f1_combination_matches_summed_brute_first_differences(pair, drawn):
+    algebra, embedding, g = pair
+    cutoff, terms = drawn
+    p = _parabolic(algebra, embedding)
+    weights = p.n_weights
+    assert math.gcd(*weights) == g
+    data = [(c, ModuleDatumE(omega=mu - p.two_rho_n_perp, dim_e=d)) for c, d, mu in terms]
+    expected = {}
+    for delta in range(cutoff + 1):
+        total = sum(
+            c * d * (brute_vector_partitions(weights, delta - mu)
+                     - brute_vector_partitions(weights, delta - mu - 2))
+            for c, d, mu in terms
+        )
+        if total:
+            expected[delta] = total
+    assert charseries._f1_combination(p, data, cutoff) == expected

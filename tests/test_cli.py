@@ -69,12 +69,20 @@ GOLDEN_COMMANDS = {
         "socle", "--fixture", "sp4-principal", "--kappa", "3/2,1/2",
         "--mu", "0", "--cutoff", "40",
     ],
+    "socle_sp4-principal_mu0.table.txt": [
+        "socle", "--fixture", "sp4-principal", "--kappa", "3/2,1/2",
+        "--mu", "0", "--cutoff", "40", "--format", "table",
+    ],
     "socle_sp4-principal_mu1.json": [
         "socle", "--fixture", "sp4-principal", "--kappa", "3/2,1/2",
         "--mu", "1", "--cutoff", "40",
     ],
     "character_sp4-principal_mu3.json": [
         "character", "--fixture", "sp4-principal", "--mu", "3", "--cutoff", "16",
+    ],
+    "character_sp4-principal_mu3.table.txt": [
+        "character", "--fixture", "sp4-principal", "--mu", "3", "--cutoff", "16",
+        "--format", "table",
     ],
     "iwasawa_a4.json": ["iwasawa", "--a", "4", "--c", "1/3"],
 }
@@ -343,6 +351,8 @@ REFUSALS = [
      "error: OutOfRegime: socle formula requires mu >= 0, got -2\n"),
     (["analyze", "--algebra", "A0", "--embedding", "principal"], 3,
      "error: UnsupportedAlgebra: rank 0 must be positive\n"),
+    (["analyze", "--algebra", "C2", "--embedding", "root:1,1,1"], 2,
+     "error: NotARoot: root has length 3, ambient is 2\n"),
 ]
 EXIT_CASES += [(args, code) for args, code, _ in REFUSALS]
 
@@ -364,7 +374,9 @@ def test_error_exit_codes(args, code, capsys, monkeypatch):
     assert "9" * (MAX_RATIONAL_DIGITS + 1) not in err
 
 
-@pytest.mark.parametrize("args, code, err", REFUSALS, ids=["socle-negative-mu", "rank-zero"])
+@pytest.mark.parametrize(
+    "args, code, err", REFUSALS, ids=["socle-negative-mu", "rank-zero", "root-length"]
+)
 def test_library_refusals_name_their_error(args, code, err, capsys):
     assert main(args) == code
     assert capsys.readouterr().err == err
@@ -539,9 +551,8 @@ def test_virtual_character_builds_one_partition_list(capsys, partition_limits):
     doc = json.loads(capsys.readouterr().out)
     p = get_fixture("sp4-principal").build_parabolic()
     datum = ModuleDatumE(omega=-3 - p.two_rho_n_perp)
-    assert doc["t_character_N"]["mults"] == character_pairs(
-        t_character_N(p, datum, 10).mults
-    )
+    cells = [cell for row in doc["t_character_N"]["mults"] for cell in row]
+    assert cells == character_pairs(t_character_N(p, datum, 10).mults)
 
 
 def test_character_builds_one_partition_list(partition_limits, capsys):

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import types
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ghcseries import cli, report
-from ghcseries.report import IntRows, render_json
+from ghcseries.report import IntRows, render_json, render_table
 from test_cli import GOLDEN_COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +35,17 @@ BENCH = _load_bench_common()
 def oracle(doc) -> str:
     """The stdlib encoder's text, which render_json must reproduce byte for byte."""
     return json.dumps(doc, indent=2) + "\n"
+
+
+def as_rows(node):
+    """node with each IntRows list replaced by the list of the rows it stands for."""
+    if type(node) is IntRows:
+        return [node[i : i + node.width] for i in range(0, len(node), node.width)]
+    if isinstance(node, dict):
+        return {k: as_rows(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [as_rows(v) for v in node]
+    return node
 
 
 # Text over every code point but surrogates: non-ASCII, quotes, backslashes
@@ -142,7 +154,7 @@ def test_writer_matches_the_stdlib_encoder_on_a_deep_ladder(alg, emb):
     for cutoff in BENCH.DEEP_LADDER:
         argv = BENCH.deep_character_argv(alg, emb, BENCH.DEEP_MUS[-1], cutoff)
         doc = cli.cmd_character(parser.parse_args(argv))
-        assert render_json(doc) == oracle(doc)
+        assert render_json(doc) == oracle(as_rows(doc))
 
 
 SP4_BLOCK = ["--fixture", "sp4-principal", "--kappa", "3/2,1/2"]
@@ -159,9 +171,9 @@ SP4_BLOCK = ["--fixture", "sp4-principal", "--kappa", "3/2,1/2"]
 )
 def test_writer_matches_the_stdlib_encoder_on_socle_and_block_documents(argv, command):
     doc = command(cli.build_parser().parse_args(argv))
-    rows = doc["character"]["mults"] if "character" in doc else doc["m_matrix"] + doc["p_matrix"]
-    assert len(rows) > 8 and all(type(c) is int for row in rows for c in row)
-    assert render_json(doc) == oracle(doc)
+    cells = doc["character"]["mults"] if "character" in doc else doc["m_matrix"] + doc["p_matrix"]
+    assert len(cells) > 16 and all(type(c) is int for c in cells)
+    assert render_json(doc) == oracle(as_rows(doc))
 
 
 # At the int-to-str limit: 10**4300 - 1 has 4300 digits.
@@ -169,36 +181,40 @@ EDGE = 10**4300 - 1
 
 
 @pytest.mark.parametrize(
-    "rows",
+    "cells, width",
     [
-        [[EDGE, -EDGE], [0, EDGE]],
-        [[-3, -1], [-2, -(10**40)]],
-        [[0, 0], [0, 0]],
-        [[7, 10**19 + 3], [8, 98765432109876543210]],
-        [],
-        [[1, 2, 3]],
+        ([EDGE, -EDGE, 0, EDGE], 2),
+        ([-3, -1, -2, -(10**40)], 2),
+        ([0, 0, 0, 0], 2),
+        ([7, 10**19 + 3, 8, 98765432109876543210], 2),
+        ([], 2),
+        ([1, 2, 3], 3),
     ],
     ids=["digit-limit", "negative", "zero", "20-digit", "empty", "one-row"],
 )
-def test_trusted_rows_match_the_stdlib_encoder(rows):
-    for doc in (IntRows(rows), {"mults": IntRows(rows)}, [{"m": IntRows(rows)}, IntRows(rows)]):
-        assert render_json(doc) == oracle(doc)
+def test_trusted_rows_match_the_stdlib_encoder(cells, width):
+    rows = IntRows(cells, width)
+    for doc in (rows, {"mults": rows}, [{"m": rows}, rows]):
+        assert render_json(doc) == oracle(as_rows(doc))
+    # A table prints the rows the cells stand for, aligned as a list of rows.
+    assert render_table({"mults": rows}) == render_table({"mults": as_rows(rows)})
 
 
 @pytest.mark.parametrize(
     "rows, text",
     [
-        ([[]], "[\n  [\n    \n  ]\n]\n"),
+        ([[]], "[]\n"),
         ([[True, 2]], "[\n  [\n    1,\n    2\n  ]\n]\n"),
         ([[1, Fraction(3, 2)]], "[\n  [\n    1,\n    1\n  ]\n]\n"),
     ],
     ids=["zero-width", "bool", "fraction"],
 )
 def test_rows_outside_the_trusted_contract_are_written_wrongly(rows, text):
-    # Out of contract: IntRows takes only non-empty rows of exact-type ints,
-    # and nothing checks that, so these come out as wrong text, not an error.
-    # The same rows as a plain list keep the stdlib encoder's text or error.
-    assert render_json(IntRows(rows)) == text
+    # Out of contract: IntRows takes only the cells of rows of width at least
+    # 1, each of exact type int, and nothing checks that, so these come out as
+    # wrong text, not an error.  The same rows as a plain list keep the
+    # stdlib encoder's text or error.
+    assert render_json(IntRows(chain.from_iterable(rows), len(rows[0]))) == text
     if all(type(c) is not Fraction for row in rows for c in row):
         assert render_json(rows) == oracle(rows) != text
     else:
@@ -232,11 +248,13 @@ def test_every_trusted_row_list_holds_plain_ints_of_one_width():
     parser = cli.build_parser()
     for argv in _trusted_argvs():
         args = parser.parse_args(argv)
-        found = _int_rows_in(args.run(args))
+        doc = args.run(args)
+        found = _int_rows_in(doc)
         assert len(found) == (2 if argv[0] == "character" else 1), argv
         for rows in found:
-            assert all(type(row) is list and len(row) == 2 for row in rows), argv
-            assert all(type(cell) is int for row in rows for cell in row), argv
+            assert rows.width == 2 and len(rows) % 2 == 0, argv
+            assert all(type(cell) is int for cell in rows), argv
+        assert render_json(doc) == oracle(as_rows(doc)), argv
 
 
 @pytest.mark.parametrize("name", CHARACTER_GOLDENS)
@@ -256,5 +274,7 @@ def test_golden_character_documents_are_written_without_json_or_row_checks(
     monkeypatch.setattr(report, "_rows_text", counted)
     assert cli.main(GOLDEN_COMMANDS[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
-    # One %-format per IntRows list: N's and F1's rows, or the socle's.
-    assert len(formats) == (2 if name.startswith("character") else 1)
+    # One %-format per IntRows list: N's and F1's rows, or the socle's; a
+    # table writes none.
+    expected = 0 if name.endswith(".txt") else 2 if name.startswith("character") else 1
+    assert len(formats) == expected
